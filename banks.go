@@ -110,14 +110,9 @@ type BuildOptions struct {
 // Concurrency contract: a DB is immutable after Build returns and is safe
 // for use by any number of concurrent readers — Search, SearchTerms,
 // SearchNodes, Near, their *Context variants, NodeLabel and Explain may all
-// run in parallel on the same DB without synchronization. This covers
-// intra-query parallelism too: a search with Options.Workers ≥ 1 spreads
-// its own work across goroutines that share the same read-only graph and
-// index state, and returns results bit-identical to a serial run. When
-// Workers ≥ 1, Options.EdgeFilter and Options.EdgePriority callbacks are
-// invoked from those worker goroutines and must be pure and safe for
-// concurrent use. Do not mutate the exported fields (or the structures
-// they point to) after Build; doing so voids the contract.
+// run in parallel on the same DB without synchronization. Do not mutate
+// the exported fields (or the structures they point to) after Build;
+// doing so voids the contract.
 type DB struct {
 	Graph     *graph.Graph
 	Index     *index.Index

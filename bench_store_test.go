@@ -4,7 +4,7 @@ package banks_test
 // a memory-mapped snapshot open vs rebuilding the same state from raw
 // relational data, on the factor-1 DBLP dataset (~180k tuples), plus the
 // latency of the first query after an open (page-in cost included).
-// Baselines are recorded in BENCH_store.json.
+// The harness in bench/ reports the open time end to end as store.open_ms.
 //
 // Run with:
 //

@@ -9,6 +9,7 @@
 package banks_test
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"strings"
@@ -60,16 +61,30 @@ func goldenDB(t testing.TB) *banks.DB {
 	return bdb
 }
 
-// goldenAnswers renders the top-k of one search in the pinned format: one
-// line per answer with root label, score to 6 decimals, and the keyword
-// leaf labels in keyword order.
-func goldenAnswers(t testing.TB, db *banks.DB, query string, algo banks.Algorithm, opts banks.Options) string {
+// goldenOutput runs one golden case with the given search and near entry
+// points (a DB's or an Engine's) and renders it in the pinned format: per
+// answer the root label, score to 6 decimals, and the keyword leaf labels
+// in keyword order; per near result the node label and activation.
+func goldenOutput(t testing.TB, db *banks.DB, tc goldenCase,
+	search func(string, banks.Algorithm, banks.Options) (*banks.Result, error),
+	near func(string, banks.Options) ([]banks.NearResult, banks.Stats, error)) string {
 	t.Helper()
-	res, err := db.Search(query, algo, opts)
-	if err != nil {
-		t.Fatalf("%s %q: %v", algo, query, err)
-	}
+	opts := banks.Options{K: tc.k}
 	var sb strings.Builder
+	if tc.near {
+		res, _, err := near(tc.query, opts)
+		if err != nil {
+			t.Fatalf("near %q: %v", tc.query, err)
+		}
+		for _, r := range res {
+			fmt.Fprintf(&sb, "node=%s act=%.6f\n", db.NodeLabel(r.Node), r.Activation)
+		}
+		return sb.String()
+	}
+	res, err := search(tc.query, tc.algo, opts)
+	if err != nil {
+		t.Fatalf("%s %q: %v", tc.algo, tc.query, err)
+	}
 	for _, a := range res.Answers {
 		leaves := make([]string, len(a.KeywordNodes))
 		for i, u := range a.KeywordNodes {
@@ -77,19 +92,6 @@ func goldenAnswers(t testing.TB, db *banks.DB, query string, algo banks.Algorith
 		}
 		fmt.Fprintf(&sb, "root=%s score=%.6f leaves=[%s]\n",
 			db.NodeLabel(a.Root), a.Score, strings.Join(leaves, " | "))
-	}
-	return sb.String()
-}
-
-func goldenNear(t testing.TB, db *banks.DB, query string, opts banks.Options) string {
-	t.Helper()
-	res, _, err := db.Near(query, opts)
-	if err != nil {
-		t.Fatalf("near %q: %v", query, err)
-	}
-	var sb strings.Builder
-	for _, r := range res {
-		fmt.Fprintf(&sb, "node=%s act=%.6f\n", db.NodeLabel(r.Node), r.Activation)
 	}
 	return sb.String()
 }
@@ -153,12 +155,7 @@ func TestGoldenTopK(t *testing.T) {
 	db := goldenDB(t)
 	for _, tc := range goldenCases {
 		t.Run(tc.name, func(t *testing.T) {
-			var got string
-			if tc.near {
-				got = goldenNear(t, db, tc.query, banks.Options{K: tc.k})
-			} else {
-				got = goldenAnswers(t, db, tc.query, tc.algo, banks.Options{K: tc.k})
-			}
+			got := goldenOutput(t, db, tc, db.Search, db.Near)
 			if *goldenPrint {
 				fmt.Printf("=== %s ===\n%s", tc.name, got)
 				return
@@ -170,27 +167,30 @@ func TestGoldenTopK(t *testing.T) {
 	}
 }
 
-// TestGoldenTopKParallel re-runs every pinned query with intra-query
-// parallelism (Workers: 4) and diffs against the same serial pins:
-// parallel execution must not be able to change pinned ranking, scores or
-// leaves. Near ignores Workers by documented fallback and is pinned to
-// that too.
+// TestGoldenTopKParallel runs every pinned query as a parallel subtest
+// through one shared Engine: the pins must hold on the serving path while
+// the queries execute concurrently on the engine pool.
 func TestGoldenTopKParallel(t *testing.T) {
 	db := goldenDB(t)
+	eng, err := banks.NewEngine(db, banks.EngineOptions{CacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	search := func(q string, algo banks.Algorithm, opts banks.Options) (*banks.Result, error) {
+		return eng.Search(context.Background(), q, algo, opts)
+	}
+	near := func(q string, opts banks.Options) ([]banks.NearResult, banks.Stats, error) {
+		return eng.Near(context.Background(), q, opts)
+	}
 	for _, tc := range goldenCases {
 		t.Run(tc.name, func(t *testing.T) {
-			opts := banks.Options{K: tc.k, Workers: 4}
-			var got string
-			if tc.near {
-				got = goldenNear(t, db, tc.query, opts)
-			} else {
-				got = goldenAnswers(t, db, tc.query, tc.algo, opts)
-			}
+			t.Parallel()
+			got := goldenOutput(t, db, tc, search, near)
 			if *goldenPrint {
-				return // serial pass already printed the pins
+				return // TestGoldenTopK prints the pins
 			}
 			if got != tc.want {
-				t.Errorf("parallel golden mismatch (Workers: 4):\n--- want ---\n%s--- got ---\n%s", tc.want, got)
+				t.Errorf("golden mismatch through the engine:\n--- want ---\n%s--- got ---\n%s", tc.want, got)
 			}
 		})
 	}

@@ -19,15 +19,6 @@ import (
 // memory behaviour: a node reached by many iterators is stored once per
 // iterator, which is exactly the cost §4.2.1 criticizes.
 //
-// The search is structured as a deterministic merge over per-iterator
-// event streams: each iterator's advance (settle + expand) touches only
-// iterator-local state and yields a miEvent, and a single coordinator
-// applies events in the schedule order of the serial loop. With
-// opts.Workers == 0 events are produced inline; with Workers ≥ 1 they are
-// produced speculatively by worker goroutines (backward_parallel.go). The
-// merge order — and therefore every answer, score, tie-break and counter —
-// is identical in both modes.
-//
 // ctx bounds the search: on expiry the answers buffered so far are flushed
 // as a partial top-k with Stats.Truncated set.
 func MIBackward(ctx context.Context, g graph.View, keywords [][]graph.NodeID, opts Options) (*Result, error) {
@@ -61,96 +52,23 @@ func MIBackward(ctx context.Context, g graph.View, keywords [][]graph.NodeID, op
 	}
 	if !m.expired() && !anyEmptyKeyword(keywords) {
 		m.seed()
-		if opts.Workers >= 1 {
-			m.runParallel(opts.Workers)
-		} else {
-			m.source = m.serialSource
-			m.run()
-		}
+		m.run()
 	}
 	stats.Duration = time.Since(start)
 	return &Result{Answers: out.results(), Stats: *stats}, nil
 }
 
 // miIterator is one single-source shortest-path iterator (§3): Dijkstra
-// from a keyword node over reversed combined edges. All fields are
-// iterator-local: after seeding, an iterator is touched by exactly one
-// goroutine (the coordinator in serial mode, its owning worker in parallel
-// mode) and never read by the merge — the merge sees only miEvents.
+// from a keyword node over reversed combined edges.
 type miIterator struct {
 	origin graph.NodeID
+	kw     int // index of the keyword the origin matches
 
 	frontier *pqueue.Heap[graph.NodeID]
 	dist     map[graph.NodeID]float64
 	next     map[graph.NodeID]graph.NodeID // next hop toward the origin
 	depth    map[graph.NodeID]int32
 	settled  map[graph.NodeID]struct{}
-}
-
-// miEvent is one settle produced by an iterator's advance: everything the
-// merge coordinator needs to reproduce the serial step's globally visible
-// effects without touching iterator state.
-type miEvent struct {
-	// v was settled at distance d.
-	v graph.NodeID
-	d float64
-	// pred is v's next hop toward the iterator origin at settle time
-	// (InvalidNode at the origin itself). Predecessor chains run through
-	// settled nodes only, whose next pointers are final, so the
-	// coordinator can rebuild root→origin paths from consumed events
-	// alone.
-	pred graph.NodeID
-	// nextD/nextOK give the iterator's frontier head after the expansion —
-	// the priority the serial loop re-schedules the iterator with.
-	nextD  float64
-	nextOK bool
-	// touched/relaxed are the step's Stats deltas (frontier insertions and
-	// edge relaxations during the expansion).
-	touched, relaxed int
-}
-
-// advance runs one getnext() of the iterator (§3) using iterator-local
-// state only: settle the minimum-distance frontier node and expand the
-// frontier across incoming combined edges. It fills ev with the step's
-// globally visible effects, which the coordinator applies in schedule
-// order (applyEvent). ok is false when the frontier is exhausted.
-func (it *miIterator) advance(g graph.View, opts *Options, ev *miEvent) bool {
-	v, d, ok := it.frontier.Pop()
-	if !ok {
-		return false
-	}
-	it.settled[v] = struct{}{}
-	ev.v, ev.d, ev.pred = v, d, it.next[v]
-	ev.touched, ev.relaxed = 0, 0
-
-	if int(it.depth[v]) < opts.DMax {
-		for _, h := range g.Neighbors(v) {
-			if opts.EdgeFilter != nil && !opts.EdgeFilter(h.Type, h.Forward) {
-				continue
-			}
-			u := h.To
-			if _, done := it.settled[u]; done {
-				continue
-			}
-			ev.relaxed++
-			nd := d + h.WIn
-			old, seen := it.dist[u]
-			if !seen || nd < old {
-				it.dist[u] = nd
-				it.next[u] = v
-				it.depth[u] = it.depth[v] + 1
-				if it.frontier.Contains(u) {
-					it.frontier.Bump(u, nd)
-				} else {
-					it.frontier.Push(u, nd)
-					ev.touched++
-				}
-			}
-		}
-	}
-	_, nd, nok := it.frontier.Peek()
-	ev.nextD, ev.nextOK = nd, nok
-	return true
 }
 
 // miGlobal is the cross-iterator state of one node: the best settled
@@ -161,10 +79,8 @@ type miGlobal struct {
 	lastEmitSum float64
 }
 
-// miSearch is the merge coordinator. Besides the shared search plumbing it
-// keeps, per iterator, exactly the event-derived state the serial loop
-// would read from the live iterator: keyword index, origin, settled
-// predecessor map, and the current frontier-head distance.
+// miSearch is one MI-Backward search: the iterators, the global schedule
+// over them, and the cross-iterator state of every reached node.
 type miSearch struct {
 	canceller
 
@@ -174,26 +90,12 @@ type miSearch struct {
 	kw   [][]graph.NodeID
 	bits map[graph.NodeID]uint32
 
-	// iters holds the live iterators. The coordinator drives them inline
-	// in serial mode; in parallel mode ownership passes to the workers at
-	// spawn and the coordinator must not touch them again.
 	iters []*miIterator
-	// Per-iterator merge state, indexed like iters.
-	kwOf   []int
-	origin []graph.NodeID
-	pred   []map[graph.NodeID]graph.NodeID
-	nextD  []float64
-	nextOK []bool
-
 	glob  map[graph.NodeID]*miGlobal
 	out   *outputHeap
 	stats *Stats
+	// sched orders iterators by the distance of their frontier heads.
 	sched *pqueue.Heap[int]
-
-	// source yields iterator idx's next event; it abstracts inline
-	// production (serial) from channel consumption (parallel) so run() is
-	// one implementation for both modes.
-	source func(idx int) (miEvent, bool)
 }
 
 func (m *miSearch) seed() {
@@ -201,6 +103,7 @@ func (m *miSearch) seed() {
 		for _, u := range si {
 			it := &miIterator{
 				origin:   u,
+				kw:       i,
 				frontier: pqueue.NewMin[graph.NodeID](),
 				dist:     map[graph.NodeID]float64{u: 0},
 				next:     map[graph.NodeID]graph.NodeID{u: graph.InvalidNode},
@@ -209,23 +112,10 @@ func (m *miSearch) seed() {
 			}
 			it.frontier.Push(u, 0)
 			m.stats.NodesTouched++
-			idx := len(m.iters)
+			m.sched.Push(len(m.iters), 0)
 			m.iters = append(m.iters, it)
-			m.kwOf = append(m.kwOf, i)
-			m.origin = append(m.origin, u)
-			m.pred = append(m.pred, make(map[graph.NodeID]graph.NodeID))
-			m.nextD = append(m.nextD, 0)
-			m.nextOK = append(m.nextOK, true)
-			m.sched.Push(idx, 0)
 		}
 	}
-}
-
-// serialSource produces iterator idx's next event inline (Workers == 0).
-func (m *miSearch) serialSource(idx int) (miEvent, bool) {
-	var ev miEvent
-	ok := m.iters[idx].advance(m.g, &m.opts, &ev)
-	return ev, ok
 }
 
 func (m *miSearch) run() {
@@ -243,16 +133,9 @@ func (m *miSearch) run() {
 			break
 		}
 		idx, _, _ := m.sched.Pop()
-		ev, ok := m.source(idx)
-		if !ok {
-			// A scheduled iterator always has an event pending (it was
-			// re-queued with a live frontier head); this is reachable only
-			// on early producer shutdown.
-			break
-		}
-		m.applyEvent(idx, ev)
-		if ev.nextOK {
-			m.sched.Push(idx, ev.nextD)
+		m.step(idx)
+		if _, d, ok := m.iters[idx].frontier.Peek(); ok {
+			m.sched.Push(idx, d)
 		}
 		sinceBound++
 		if sinceBound >= boundEvery {
@@ -266,17 +149,45 @@ func (m *miSearch) run() {
 	m.out.flush()
 }
 
-// applyEvent merges one settle into the cross-iterator state, reproducing
-// the serial step's sequence of globally visible effects exactly: the
-// explored counter first (answer generation stamps read it), then the
-// reach recording and any emissions, then the expansion counters.
-func (m *miSearch) applyEvent(idx int, ev miEvent) {
-	m.pred[idx][ev.v] = ev.pred
+// step runs one getnext() of iterator idx (§3): settle the
+// minimum-distance frontier node v, merge it into the cross-iterator
+// state, and expand the frontier across v's incoming combined edges. The
+// globally visible effects keep a fixed order: the explored counter first
+// (answer generation stamps read it), then the reach recording and any
+// emissions, then the expansion counters.
+func (m *miSearch) step(idx int) {
+	it := m.iters[idx]
+	v, d, _ := it.frontier.Pop() // scheduled iterators have a frontier head
+	it.settled[v] = struct{}{}
 	m.stats.NodesExplored++
-	m.recordReach(ev.v, ev.d, idx)
-	m.stats.EdgesRelaxed += ev.relaxed
-	m.stats.NodesTouched += ev.touched
-	m.nextD[idx], m.nextOK[idx] = ev.nextD, ev.nextOK
+	m.recordReach(v, d, idx)
+
+	if int(it.depth[v]) >= m.opts.DMax {
+		return
+	}
+	for _, h := range m.g.Neighbors(v) {
+		if m.opts.EdgeFilter != nil && !m.opts.EdgeFilter(h.Type, h.Forward) {
+			continue
+		}
+		u := h.To
+		if _, done := it.settled[u]; done {
+			continue
+		}
+		m.stats.EdgesRelaxed++
+		nd := d + h.WIn
+		old, seen := it.dist[u]
+		if !seen || nd < old {
+			it.dist[u] = nd
+			it.next[u] = v
+			it.depth[u] = it.depth[v] + 1
+			if it.frontier.Contains(u) {
+				it.frontier.Bump(u, nd)
+			} else {
+				it.frontier.Push(u, nd)
+				m.stats.NodesTouched++
+			}
+		}
+	}
 }
 
 // recordReach merges a settled (node, dist) pair into the node's global
@@ -301,7 +212,7 @@ func (m *miSearch) recordReach(v graph.NodeID, d float64, idx int) {
 		}
 		m.glob[v] = gn
 	}
-	kw := m.kwOf[idx]
+	kw := m.iters[idx].kw
 	if d < gn.dist[kw] {
 		gn.dist[kw] = d
 		gn.it[kw] = int32(idx)
@@ -347,18 +258,17 @@ func (m *miSearch) maybeEmit(v graph.NodeID, gn *miGlobal) {
 }
 
 // emitCombination builds and buffers the answer rooted at v with keyword i
-// reached through iterator its[i]. Paths are rebuilt from the coordinator's
-// per-iterator predecessor maps, which hold exactly the settled nodes'
-// final next hops.
+// reached through iterator its[i]. v is settled in every such iterator, and
+// so is each hop of its next chain back to the origin; a settled node's
+// next pointer never changes again, so the chains are final paths.
 func (m *miSearch) emitCombination(v graph.NodeID, its []int32) {
 	paths := make([][]graph.NodeID, m.nk)
 	for i := 0; i < m.nk; i++ {
-		idx := its[i]
-		preds := m.pred[idx]
+		it := m.iters[its[i]]
 		path := []graph.NodeID{v}
 		cur := v
-		for cur != m.origin[idx] {
-			nxt, ok := preds[cur]
+		for cur != it.origin {
+			nxt, ok := it.next[cur]
 			if !ok || nxt == graph.InvalidNode {
 				return // defensive: broken chain
 			}
@@ -374,17 +284,15 @@ func (m *miSearch) emitCombination(v graph.NodeID, its []int32) {
 }
 
 // upperBound is the §4.5 bound adapted to multiple iterators: mᵢ is the
-// smallest next-frontier distance among keyword i's iterators, read from
-// the event-derived frontier heads (identical to peeking the live
-// frontiers in serial mode).
+// smallest frontier-head distance among keyword i's iterators.
 func (m *miSearch) upperBound() (score, edge float64) {
 	mi := make([]float64, m.nk)
 	for i := range mi {
 		mi[i] = math.Inf(1)
 	}
-	for idx := range m.nextD {
-		if m.nextOK[idx] && m.nextD[idx] < mi[m.kwOf[idx]] {
-			mi[m.kwOf[idx]] = m.nextD[idx]
+	for _, it := range m.iters {
+		if _, d, ok := it.frontier.Peek(); ok && d < mi[it.kw] {
+			mi[it.kw] = d
 		}
 	}
 	h := 0.0

@@ -38,12 +38,6 @@ func Bidirectional(ctx context.Context, g graph.View, keywords [][]graph.NodeID,
 		qin:           pqueue.NewMax[graph.NodeID](),
 		qout:          pqueue.NewMax[graph.NodeID](),
 	}
-	b.workers = opts.Workers
-	defer func() {
-		if b.shards != nil {
-			b.shards.close()
-		}
-	}()
 	b.seed()
 	b.run()
 	return sc.finishResult(), nil
@@ -53,12 +47,6 @@ type bidirSearch struct {
 	*searchContext
 	qin  *pqueue.Heap[graph.NodeID]
 	qout *pqueue.Heap[graph.NodeID]
-	// workers is Options.Workers; shards is the scoring pool it permits,
-	// created lazily by the first forward expansion that crosses
-	// bidirShardMinDegree (bidirshard.go) — a query that never meets a
-	// hub spawns nothing and reports WorkersUsed 0.
-	workers int
-	shards  *bidirShards
 	// activate is the reusable work heap for best-first activation
 	// propagation (Figure 3's Activate).
 	activate *pqueue.Heap[graph.NodeID]
@@ -198,44 +186,27 @@ func (b *bidirSearch) expandOutgoing(u graph.NodeID) {
 	if int(su.depth) >= b.opts.DMax {
 		return
 	}
-	halves := b.g.Neighbors(u)
-	if b.workers >= 1 && len(halves) >= bidirShardMinDegree {
-		if b.shards == nil {
-			b.shards = newBidirShards(b.searchContext, b.workers)
-		}
-		b.expandOutgoingSharded(u, su, halves)
-		return
-	}
 	invSum := b.invSumOut(u, su)
-	for _, h := range halves {
+	for _, h := range b.g.Neighbors(u) {
 		if !b.allowEdge(h) {
 			continue
 		}
-		sv := b.st(h.To)
+		v := h.To
+		sv := b.st(v)
 		prio := b.edgePriority(h)
 		share := 0.0
 		if invSum > 0 {
 			// u spreads activation forward to v across out-edges.
 			share = (1 / h.WOut) / invSum * prio
 		}
-		b.mergeOutEdge(u, su, h, sv, share)
-	}
-}
-
-// mergeOutEdge applies the mutating tail of one forward-expansion edge:
-// the exploration itself plus the frontier registration of the successor.
-// It is shared between the inline loop above and the sharded merge loop
-// (bidirshard.go) so the two paths cannot drift apart — their
-// bit-identical-results contract rides on executing exactly this code in
-// edge order.
-func (b *bidirSearch) mergeOutEdge(u graph.NodeID, su *nodeState, h graph.Half, sv *nodeState, share float64) {
-	b.exploreEdge(u, su, h.To, sv, h.WOut, share, false)
-	if !sv.inXout {
-		if sv.depth < 0 {
-			sv.depth = su.depth + 1
-		}
-		if b.qout.PushIfAbsent(h.To, totalActivation(sv)) {
-			b.stats.NodesTouched++
+		b.exploreEdge(u, su, v, sv, h.WOut, share, false)
+		if !sv.inXout {
+			if sv.depth < 0 {
+				sv.depth = su.depth + 1
+			}
+			if b.qout.PushIfAbsent(v, totalActivation(sv)) {
+				b.stats.NodesTouched++
+			}
 		}
 	}
 }
@@ -245,10 +216,9 @@ func (b *bidirSearch) mergeOutEdge(u graph.NodeID, su *nodeState, h graph.Half, 
 // v→u (u gains paths to keywords through v); activation flows backward
 // (v spreads to u, backward==true) or forward (u spreads to v) depending
 // on the expanding iterator. share is the edge's activation fraction
-// (1/w)/Σ(1/w')·priority, precomputed by the caller — inline for the
-// serial loops, by the shard pool for high-degree forward expansions — so
-// both paths apply identical arithmetic; 0 means no spreading (the
-// invSum ≤ 0 case, where a zero factor could not change any activation).
+// (1/w)/Σ(1/w')·priority, precomputed by the caller; 0 means no
+// spreading (the invSum ≤ 0 case, where a zero factor could not change
+// any activation).
 func (b *bidirSearch) exploreEdge(u graph.NodeID, su *nodeState, v graph.NodeID, sv *nodeState, w, share float64, backward bool) {
 	b.stats.EdgesRelaxed++
 

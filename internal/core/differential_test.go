@@ -1,16 +1,18 @@
 package core
 
-// Differential/property harness for intra-query parallelism: randomized
-// graphs, every algorithm, worker counts {1,2,4,8}, and deterministic
-// mid-search cancellation — parallel execution must be bit-identical to
-// serial in everything except wall-clock fields and Stats.WorkersUsed.
-// This is the enforcement behind the Options.Workers contract ("parallel
-// execution is bit-identical to serial"): the golden tests pin serial
-// output to the pre-parallelism implementation, and this harness pins
-// every parallel mode to serial.
+// Pinned differential oracle: randomized graphs swept over every algorithm
+// (and Near), a set of option shapes, and deterministic mid-search
+// cancellation. Each sweep's output is reduced to one SHA-256 per
+// algorithm over the concatenated diffSignature of every case, and those
+// digests are frozen constants. Any change to answers, score bits, tie
+// order or the deterministic Stats counters moves a digest, so a rewrite
+// of the search internals (heaps, per-node state, expansion loops) is
+// proven output-preserving by these tests passing unchanged.
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"math/rand"
@@ -22,16 +24,11 @@ import (
 	"banks/internal/graph"
 )
 
-// diffWorkerCounts are the worker counts the harness sweeps. 1 exercises
-// the full parallel machinery without parallel speedup; 8 exceeds the
-// iterator count of small queries (clamping paths).
-var diffWorkerCounts = []int{1, 2, 4, 8}
-
 // randomGraphSpec seeds one property-test case.
 type randomGraphSpec struct {
 	seed int64
-	// hub forces a node whose combined degree exceeds the (lowered) shard
-	// threshold so the sharded forward-expansion path runs.
+	// hub adds one node with ~48 extra out-edges, so the corpus covers
+	// high-degree expansions.
 	hub bool
 }
 
@@ -68,8 +65,6 @@ func buildRandomGraph(t testing.TB, spec randomGraphSpec) (*graph.Graph, [][]gra
 		}
 	}
 	if spec.hub {
-		// One dense hub: enough combined edges to clear the lowered shard
-		// threshold several partitions over.
 		hub := rng.Intn(n)
 		for j := 0; j < 48; j++ {
 			if other := rng.Intn(n); other != hub {
@@ -116,10 +111,8 @@ func buildRandomGraph(t testing.TB, spec randomGraphSpec) (*graph.Graph, [][]gra
 }
 
 // diffSignature renders everything deterministic about a result: the full
-// answer structure with exact float bits, plus every Stats field that the
-// serial/parallel contract covers. Wall-clock fields (Duration,
-// GeneratedAt, OutputAt) and WorkersUsed are excluded — they are the only
-// fields allowed to differ.
+// answer structure with exact float bits, plus every deterministic Stats
+// field. Wall-clock fields (Duration, GeneratedAt, OutputAt) are excluded.
 func diffSignature(res *Result) string {
 	var sb strings.Builder
 	s := res.Stats
@@ -151,123 +144,151 @@ func diffOptVariants() []Options {
 	}
 }
 
-// lowerShardThreshold drops the bidirectional shard gate so the random
-// graphs (which have hubs of ~50–100 combined edges) exercise the sharded
-// expansion path, restoring it when the test ends.
-func lowerShardThreshold(t testing.TB) {
+// pinnedSearch runs one case of a pinned sweep and returns its signature.
+// "near" selects Near, whose ranked nodes are appended to the signature of
+// its Stats; any other name is a tree-search Algo.
+func pinnedSearch(t *testing.T, ctx context.Context, g *graph.Graph, algo string, kw [][]graph.NodeID, opts Options) string {
 	t.Helper()
-	old := bidirShardMinDegree
-	bidirShardMinDegree = 8
-	t.Cleanup(func() { bidirShardMinDegree = old })
-}
-
-// TestDifferentialParallelMatchesSerial is the acceptance property: on
-// ≥ 50 randomized graphs, for every algorithm, option shape and worker
-// count, the parallel result is bit-identical to the serial one.
-func TestDifferentialParallelMatchesSerial(t *testing.T) {
-	lowerShardThreshold(t)
-	numGraphs := 60
-	if testing.Short() {
-		numGraphs = 12
-	}
-	for gi := 0; gi < numGraphs; gi++ {
-		spec := randomGraphSpec{seed: int64(1000 + gi), hub: gi%2 == 0}
-		g, kw := buildRandomGraph(t, spec)
-		for _, algo := range Algos() {
-			for vi, opts := range diffOptVariants() {
-				serialRes, err := Search(nil, g, algo, kw, opts)
-				if err != nil {
-					t.Fatalf("graph %d %s variant %d serial: %v", gi, algo, vi, err)
-				}
-				want := diffSignature(serialRes)
-				if serialRes.Stats.WorkersUsed != 0 {
-					t.Fatalf("graph %d %s variant %d: serial run reports WorkersUsed=%d", gi, algo, vi, serialRes.Stats.WorkersUsed)
-				}
-				for _, w := range diffWorkerCounts {
-					po := opts
-					po.Workers = w
-					parRes, err := Search(nil, g, algo, kw, po)
-					if err != nil {
-						t.Fatalf("graph %d %s variant %d workers %d: %v", gi, algo, vi, w, err)
-					}
-					if got := diffSignature(parRes); got != want {
-						t.Fatalf("graph %d (seed %d) %s variant %d workers %d diverged:\n--- serial ---\n%s--- parallel ---\n%s",
-							gi, spec.seed, algo, vi, w, want, got)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestDifferentialShallowBatches drives the adaptive-batch path the big
-// sweep cannot reach on small graphs: with the speculation budget lowered,
-// every query uses the minimum batch size, so batch boundaries, refills
-// and worker wakeups occur constantly — and results must still be
-// bit-identical.
-func TestDifferentialShallowBatches(t *testing.T) {
-	oldBudget := miSpecBudget
-	miSpecBudget = 1
-	t.Cleanup(func() { miSpecBudget = oldBudget })
-	for gi := 0; gi < 10; gi++ {
-		g, kw := buildRandomGraph(t, randomGraphSpec{seed: int64(3000 + gi), hub: true})
-		serialRes, err := MIBackward(nil, g, kw, Options{K: 8})
+	if algo == "near" {
+		res, stats, err := Near(ctx, g, kw, opts)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("near: %v", err)
 		}
-		want := diffSignature(serialRes)
-		for _, w := range diffWorkerCounts {
-			parRes, err := MIBackward(nil, g, kw, Options{K: 8, Workers: w})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := diffSignature(parRes); got != want {
-				t.Fatalf("graph %d workers %d diverged with shallow batches:\n--- serial ---\n%s--- parallel ---\n%s",
-					gi, w, want, got)
-			}
+		var sb strings.Builder
+		sb.WriteString(diffSignature(&Result{Stats: stats}))
+		for i, r := range res {
+			fmt.Fprintf(&sb, "%d: node=%d act=%x\n", i, r.Node, math.Float64bits(r.Activation))
 		}
+		return sb.String()
+	}
+	res, err := Search(ctx, g, Algo(algo), kw, opts)
+	if err != nil {
+		t.Fatalf("%s: %v", algo, err)
+	}
+	return diffSignature(res)
+}
+
+// pinnedAlgos are the sweeps' algorithm dimension: the three tree
+// searches and Near.
+func pinnedAlgos() []string {
+	var names []string
+	for _, a := range Algos() {
+		names = append(names, string(a))
+	}
+	return append(names, "near")
+}
+
+// pinnedDigest is the frozen output of one algorithm over a corpus. all
+// is the SHA-256 of every case's signature concatenated in sweep order;
+// graphs lists (whitespace-separated), per graph, the first 8 hex digits
+// of the SHA-256 of that graph's signatures, so a mismatch can name the
+// first graph that moved.
+type pinnedDigest struct {
+	all    string
+	graphs string
+}
+
+// checkPinned compares sigs (per graph, the signatures of its cases in
+// sweep order) against want. On a mismatch it prints the first diverging
+// graph's current signatures and the digest literal that would re-pin the
+// sweep, for a change that moves output on purpose.
+func checkPinned(t *testing.T, label string, want pinnedDigest, sigs [][]string) {
+	t.Helper()
+	all := sha256.New()
+	wantGraphs := strings.Fields(want.graphs)
+	gotGraphs := make([]string, len(sigs))
+	reported := false
+	for gi, gs := range sigs {
+		gh := sha256.New()
+		for _, s := range gs {
+			all.Write([]byte(s))
+			gh.Write([]byte(s))
+		}
+		gotGraphs[gi] = hex.EncodeToString(gh.Sum(nil))[:8]
+		if !reported && (gi >= len(wantGraphs) || gotGraphs[gi] != wantGraphs[gi]) {
+			reported = true
+			t.Errorf("%s: graph %d is the first to diverge from the pinned output; its signatures now:\n%s",
+				label, gi, strings.Join(gs, "--- next case ---\n"))
+		}
+	}
+	gotAll, gotList := hex.EncodeToString(all.Sum(nil)), strings.Join(gotGraphs, " ")
+	if gotAll != want.all || gotList != strings.Join(wantGraphs, " ") {
+		t.Errorf("%s: corpus digest %s, pinned %s; current value:\n{all: %q, graphs: %q}",
+			label, gotAll, want.all, gotAll, gotList)
 	}
 }
 
-// TestDifferentialNearIgnoresWorkers pins the documented fallback: Near
-// accepts Workers and returns results identical to serial.
-func TestDifferentialNearIgnoresWorkers(t *testing.T) {
-	for gi := 0; gi < 10; gi++ {
-		g, kw := buildRandomGraph(t, randomGraphSpec{seed: int64(7000 + gi)})
-		serialRes, serialStats, err := Near(nil, g, kw, Options{K: 8})
-		if err != nil {
-			t.Fatal(err)
+// pinnedCorpus holds the digests of TestDifferentialPinnedCorpus: 60
+// random graphs (seeds 1000–1059, every other one with a hub) × the five
+// diffOptVariants.
+var pinnedCorpus = map[string]pinnedDigest{
+	"bidirectional": {
+		all: "7b2365b52ed97e80e016ecbb544f85469a4736c4423448b2f3eebf47f9041d8c",
+		graphs: `
+			7206a3c3 181a88b4 d2b75ab0 1f9f9323 d3aebde7 d960a12c 0f62bec1 17497c86 7b6dff8c 3e87a2b5
+			651c2c00 7b091d5b 107ac1fb 5690f37e fe265127 1a3bc6ff c6348f9e 8b2aa7d3 9bb99e0b b8feb321
+			829e96e4 67820be0 c56afb53 872b0dfa 50b33f7d ecebcabe 9fb61633 f6455a29 a0e83834 c7e952fc
+			2e864115 0b733b75 962c2310 412bcd82 4f40a659 c62c5a99 bfad355e 992079fb c463c8e1 8abe65b1
+			332bf1d9 3404f4aa 84a4fdd0 5974a645 de29272a 53c2f2b9 cd1b7394 393e8b47 199c61f0 67c1f086
+			d036bcb0 8b6d6b1d b5e87415 eb2ecdbd b4beec22 20c5ead1 10c4afaf cb2e791e 8cbc9d88 37dd2c7f
+		`,
+	},
+	"si-backward": {
+		all: "a47faaeee7923bd84ba41ae23f9734944c1e9dd68388677265ed77ff958ec107",
+		graphs: `
+			e0dbc138 d5ea0f68 2bb980c7 6bdb84a2 e6521c0e 03c95f5e 0731274d 85b64046 b4354534 6854416e
+			3e7e691b 0368e94a 48fe0887 3876c10c 1de852ed 32c4409e c571c413 a027a593 50105728 07d8e93e
+			6aa266db 7979374e 8ec01e9c c54899da 02642a2c fe46e1d0 ac4faa2f c105e608 ee22bf7f 6d1b3d62
+			10c34f0b bff1586f 1ef82318 dd017705 27d95a11 240d7465 7a473cd0 637421eb 1925018b 6a397a1b
+			f2df03d8 9c804607 d2d09d4d 69e34c2f 348977c8 744d4be4 12231aa9 c5eaa17d 47e0310a 2c7e7e58
+			39de978e 78bb1671 b9d23876 1d79d000 255c597c e0292ef4 9b0550fb 1afcd15f 091afa3a 2a12b19c
+		`,
+	},
+	"mi-backward": {
+		all: "3bb0f5812fd0068c6d55f76f81de9389c8dcba7ceb4526b75802ff517ded32c6",
+		graphs: `
+			78f1a67c 7ac22e38 2cb55051 9149bc23 1d63c9a8 92573987 75b9b04f a2f9f5bf 6410019e e28cad6f
+			25d581af ed3ff93b fadef532 8d0eb320 49ceb42f e71732c6 88bbbb92 9a67f05f c1913d8e 848430fb
+			a7fac7ec 7d48cbb6 61f921fc eefd5940 6c06f99a 58f75666 5421577f 8264ebd1 d4bdb19d f6f3f74d
+			a794d26c 7a9e6ec9 6184aa3f 303e2566 8c1db085 02297277 38072121 cb654c52 3507f740 158785b9
+			fdbb5297 c9f3a0f9 ffb141c0 7ea7a60b a8afaf35 4e2b1d48 f4288646 980938d9 51f36109 fa121cba
+			9f7dad2d 2bc20e0d d649aa0f f6120f4f c83ee032 7b136041 19829969 057afd95 f179016d 115d4cfe
+		`,
+	},
+	"near": {
+		all: "0fe41aebfb8c1f6cd0236eb76501a2ee4f1bea454a5e53abd56ed1f5c03d0367",
+		graphs: `
+			90528221 16f75159 6ac2d547 01a90ab5 b1d8aad6 45d3947e 096d58cd b1a7f35d 4a1ecccc faaa1cbd
+			03644d6f 19185b39 5271a817 081e855d 07d2d3ea 92dd3d7b e9deff64 31ce030d 0ce4ccd6 795df16c
+			46bcc5f1 b5cb060b 6ca690c3 0adcf92d 347110c5 5c7ea80e 0c8e97cb e2fb72c3 46a4c19f b2da75fb
+			420ca8ef de53108b a7723c42 add63222 4ee031a0 b5b91b56 400a6631 e447611a ac05da10 056ebaf4
+			2f434cb2 4c284a5d 3060f871 97b4d4c1 401cfd4c caed3860 5e83430e 25bfa15e 47e0310a 05058c76
+			a4966e1e 1b74baea 29bf9626 68b1362e 671b9559 959df9f4 d811a9a5 502f3d34 47267815 fe021074
+		`,
+	},
+}
+
+// TestDifferentialPinnedCorpus sweeps every algorithm over the random
+// corpus and option shapes and asserts the frozen digests.
+func TestDifferentialPinnedCorpus(t *testing.T) {
+	const numGraphs = 60
+	for _, algo := range pinnedAlgos() {
+		sigs := make([][]string, numGraphs)
+		for gi := range sigs {
+			g, kw := buildRandomGraph(t, randomGraphSpec{seed: int64(1000 + gi), hub: gi%2 == 0})
+			for _, opts := range diffOptVariants() {
+				sigs[gi] = append(sigs[gi], pinnedSearch(t, nil, g, algo, kw, opts))
+			}
 		}
-		for _, w := range diffWorkerCounts {
-			res, stats, err := Near(nil, g, kw, Options{K: 8, Workers: w})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if stats.WorkersUsed != 0 {
-				t.Fatalf("near workers %d: WorkersUsed=%d, want 0 (serial fallback)", w, stats.WorkersUsed)
-			}
-			if len(res) != len(serialRes) {
-				t.Fatalf("near workers %d: %d results vs %d serial", w, len(res), len(serialRes))
-			}
-			for i := range res {
-				if res[i] != serialRes[i] {
-					t.Fatalf("near workers %d result %d: %+v vs %+v", w, i, res[i], serialRes[i])
-				}
-			}
-			if stats.NodesExplored != serialStats.NodesExplored || stats.NodesTouched != serialStats.NodesTouched {
-				t.Fatalf("near workers %d stats diverged", w)
-			}
-		}
+		checkPinned(t, algo, pinnedCorpus[algo], sigs)
 	}
 }
 
 // countingCtx is a context whose Err flips to Canceled after a fixed
 // number of Err consultations. The search cancellers consult Err at a
-// deterministic, data-dependent cadence that is identical in serial and
-// parallel mode (only the coordinator ever consults the context), so a
-// countingCtx cancels serial and parallel runs at exactly the same merge
-// position — which is what makes truncation exactly comparable, where a
-// wall-clock deadline would be racy.
+// deterministic, data-dependent cadence, so a countingCtx cancels a
+// search at exactly the same point on every run — which is what makes
+// truncated output comparable, where a wall-clock deadline would be racy.
 type countingCtx struct {
 	calls atomic.Int64
 	limit int64
@@ -321,48 +342,64 @@ func buildCancellationGraph(t testing.TB, seed int64) (*graph.Graph, [][]graph.N
 	return g, kw
 }
 
-// TestDifferentialCancellation proves the Truncated-prefix contract under
-// mid-search cancellation: with a deterministic cancellation point, the
-// parallel run reports the same Truncated flag, the same partial top-k
-// prefix, and the same counters as the serial run — and shuts its workers
-// down cleanly (a leak or deadlock would hang the test).
+// pinnedCancellation holds the digests of TestDifferentialCancellation: 6
+// cancellation graphs (seeds 9000–9005) × countingCtx limits {0,1,2,4,8}.
+var pinnedCancellation = map[string]pinnedDigest{
+	"bidirectional": {
+		all:    "e0225e87e43632c0c4041902e8c2c2fde1d6b7ac0a2ae08ffbc152a94c0b6200",
+		graphs: "2667d5c5 22177c11 08197458 5ee29274 8f5933bd b637d5f1",
+	},
+	"si-backward": {
+		all:    "8e12ea9e0054f76227e62ecb146f7a872f7242d6527662499110ce48657f3a6a",
+		graphs: "b21e9e73 c7eca073 3810cd32 65fb35a0 18a255d3 bc903488",
+	},
+	"mi-backward": {
+		all:    "a6a82994d43c176993d3c0f7e1d0dbcc1d81640b691d24be8c0a2e4c768c5937",
+		graphs: "bf82377b 98a0caca b6db8f7c eea2c7a3 1c37ca35 7147f638",
+	},
+	"near": {
+		all:    "31f3c5a652b4f938467b6d9c17debdd951d60fc1e2aa469ea0afdcd0132885b9",
+		graphs: "2e5c9b05 9d5d0ad8 779137df e657672a e5a30332 0ce47711",
+	},
+}
+
+// TestDifferentialCancellation pins the Truncated-prefix contract under
+// mid-search cancellation: at each deterministic cancellation point, the
+// Truncated flag, the partial top-k prefix and the counters must match
+// the frozen digests.
 func TestDifferentialCancellation(t *testing.T) {
-	lowerShardThreshold(t)
-	for gi := 0; gi < 6; gi++ {
-		g, kw := buildCancellationGraph(t, int64(9000+gi))
-		for _, algo := range Algos() {
+	const numGraphs = 6
+	graphs := make([]*graph.Graph, numGraphs)
+	kws := make([][][]graph.NodeID, numGraphs)
+	for gi := range graphs {
+		graphs[gi], kws[gi] = buildCancellationGraph(t, int64(9000+gi))
+	}
+	for _, algo := range pinnedAlgos() {
+		sigs := make([][]string, numGraphs)
+		for gi, g := range graphs {
 			for _, limit := range []int64{0, 1, 2, 4, 8} {
-				serialRes, err := Search(&countingCtx{limit: limit}, g, algo, kw, Options{K: 10})
-				if err != nil {
-					t.Fatalf("%s limit %d serial: %v", algo, limit, err)
-				}
-				want := diffSignature(serialRes)
-				for _, w := range diffWorkerCounts {
-					parRes, err := Search(&countingCtx{limit: limit}, g, algo, kw, Options{K: 10, Workers: w})
-					if err != nil {
-						t.Fatalf("%s limit %d workers %d: %v", algo, limit, w, err)
-					}
-					if got := diffSignature(parRes); got != want {
-						t.Fatalf("graph %d %s limit %d workers %d diverged under cancellation:\n--- serial ---\n%s--- parallel ---\n%s",
-							gi, algo, limit, w, want, got)
-					}
-				}
+				sigs[gi] = append(sigs[gi], pinnedSearch(t, &countingCtx{limit: limit}, g, algo, kws[gi], Options{K: 10}))
 			}
-			// Sanity: a small limit must actually truncate mid-search and a
-			// huge one must not, so the sweep covers both regimes.
-			full, err := Search(context.Background(), g, algo, kw, Options{K: 10})
+		}
+		checkPinned(t, algo, pinnedCancellation[algo], sigs)
+	}
+	// Sanity: a small limit must actually truncate mid-search and a huge
+	// one must not, so the sweep covers both regimes.
+	for gi, g := range graphs {
+		for _, algo := range Algos() {
+			full, err := Search(context.Background(), g, algo, kws[gi], Options{K: 10})
 			if err != nil {
 				t.Fatal(err)
 			}
-			cut, err := Search(&countingCtx{limit: 1}, g, algo, kw, Options{K: 10})
+			cut, err := Search(&countingCtx{limit: 1}, g, algo, kws[gi], Options{K: 10})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !cut.Stats.Truncated {
-				t.Fatalf("%s: limit-1 run was not truncated (graph too small for the harness?)", algo)
+				t.Fatalf("graph %d %s: limit-1 run was not truncated (graph too small for the harness?)", gi, algo)
 			}
 			if full.Stats.Truncated {
-				t.Fatalf("%s: uncancelled run reports Truncated", algo)
+				t.Fatalf("graph %d %s: uncancelled run reports Truncated", gi, algo)
 			}
 		}
 	}

@@ -22,17 +22,11 @@ import (
 // state compact.
 const MaxKeywords = 16
 
-// MaxWorkers caps Options.Workers. Larger requests are clamped here (a
-// documented fallback, not an error): beyond this point extra goroutines
-// only add scheduling overhead, and the cap keeps a forged or buggy
-// request from spawning unbounded goroutines per query.
-const MaxWorkers = 64
-
 // OptionsError reports an invalid Options field. Every validation failure
 // returned by the search entry points for bad options is of this type, so
 // callers can test with errors.As and switch on Field.
 type OptionsError struct {
-	// Field names the offending Options field (e.g. "Workers").
+	// Field names the offending Options field (e.g. "MaxNodes").
 	Field string
 	// Reason describes the constraint that was violated.
 	Reason string
@@ -66,22 +60,6 @@ type Options struct {
 	// unlimited. When exhausted the search flushes buffered answers and
 	// returns what it has.
 	MaxNodes int
-	// Workers selects intra-query parallelism: the number of worker
-	// goroutines the search may use in addition to the coordinating
-	// goroutine. 0 (the default) runs the fully serial implementation;
-	// values ≥ 1 run the parallel machinery with that many workers (1 is
-	// useful for exercising the machinery — it adds coordination overhead
-	// without parallel speedup). Parallel execution is bit-identical to
-	// serial by construction: answers, scores, orderings and all
-	// deterministic Stats counters are unchanged; only wall-clock fields
-	// and Stats.WorkersUsed differ. Bidirectional and MIBackward use
-	// workers; SIBackward and Near are inherently sequential and ignore
-	// the field (documented fallback, never an error). Values above
-	// MaxWorkers are clamped; negative values are rejected with an
-	// *OptionsError. When Workers ≥ 1, EdgeFilter and EdgePriority are
-	// called from worker goroutines and must be pure and safe for
-	// concurrent use (they are already required to be deterministic).
-	Workers int
 	// StrictBound selects the tighter upper-bound computation of §4.5
 	// (tracking seen-but-incomplete nodes, NRA-style). The default (false)
 	// is the paper's "looser heuristic" — cheaper, outputs faster, and
@@ -122,9 +100,7 @@ type Options struct {
 // Normalized returns the options with zero values replaced by the paper's
 // defaults — the form the algorithms actually run with. Two Options values
 // with equal Normalized() forms describe the same search, which the engine
-// result cache relies on for canonical keys. (Workers is normalized only
-// by clamping to MaxWorkers: it never changes what a search returns, only
-// how many goroutines compute it, so cache keys may ignore it.)
+// result cache relies on for canonical keys.
 func (o Options) Normalized() Options { return o.withDefaults() }
 
 func (o Options) withDefaults() Options {
@@ -139,9 +115,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.DMax == 0 {
 		o.DMax = DefaultDMax
-	}
-	if o.Workers > MaxWorkers {
-		o.Workers = MaxWorkers
 	}
 	return o
 }
@@ -172,9 +145,6 @@ func (o Options) validate() error {
 	}
 	if o.MaxNodes < 0 {
 		return &OptionsError{Field: "MaxNodes", Reason: "must be non-negative"}
-	}
-	if o.Workers < 0 {
-		return &OptionsError{Field: "Workers", Reason: "must be non-negative"}
 	}
 	return nil
 }

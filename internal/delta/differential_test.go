@@ -302,8 +302,8 @@ func randomBatch(rng *rand.Rand, ref *refModel) []Op {
 }
 
 // diffSignature renders a result's deterministic content with exact
-// float bits; wall-clock fields and WorkersUsed are excluded (the same
-// exclusions the core serial/parallel harness makes).
+// float bits; wall-clock fields are excluded (the same exclusions the core
+// differential harness makes).
 func diffSignature(res *core.Result) string {
 	var sb strings.Builder
 	s := res.Stats
@@ -370,9 +370,8 @@ func assertViewMatchesReference(t *testing.T, v *View, ref *refModel, g2 *graph.
 	}
 }
 
-// runQueries executes the acceptance sweep — all three algorithms ×
-// workers {0,4} plus Near — over overlay and reference, comparing
-// signatures.
+// runQueries executes the acceptance sweep — all three algorithms plus
+// Near — over overlay and reference, comparing signatures.
 func runQueries(t *testing.T, rng *rand.Rand, v *View, ref *refModel, g2 *graph.Graph, ix2 *index.Index) {
 	t.Helper()
 	for q := 0; q < 3; q++ {
@@ -395,20 +394,16 @@ func runQueries(t *testing.T, rng *rand.Rand, v *View, ref *refModel, g2 *graph.
 		}
 		opts := core.Options{K: 5}
 		for _, algo := range core.Algos() {
-			for _, workers := range []int{0, 4} {
-				o := opts
-				o.Workers = workers
-				ro, err := core.Search(context.Background(), v, algo, kwOverlay, o)
-				if err != nil {
-					t.Fatalf("%s overlay search: %v", algo, err)
-				}
-				rr, err := core.Search(context.Background(), g2, algo, kwRef, o)
-				if err != nil {
-					t.Fatalf("%s reference search: %v", algo, err)
-				}
-				if so, sr := diffSignature(ro), diffSignature(rr); so != sr {
-					t.Fatalf("%s workers=%d terms=%v diverged:\noverlay:\n%s\nreference:\n%s", algo, workers, terms, so, sr)
-				}
+			ro, err := core.Search(context.Background(), v, algo, kwOverlay, opts)
+			if err != nil {
+				t.Fatalf("%s overlay search: %v", algo, err)
+			}
+			rr, err := core.Search(context.Background(), g2, algo, kwRef, opts)
+			if err != nil {
+				t.Fatalf("%s reference search: %v", algo, err)
+			}
+			if so, sr := diffSignature(ro), diffSignature(rr); so != sr {
+				t.Fatalf("%s terms=%v diverged:\noverlay:\n%s\nreference:\n%s", algo, terms, so, sr)
 			}
 		}
 		no, _, err := core.Near(context.Background(), v, kwOverlay, opts)

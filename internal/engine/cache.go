@@ -28,10 +28,7 @@ type cacheKey struct {
 }
 
 // optsKey is the comparable subset of core.Options that can change what a
-// search returns. Workers is deliberately excluded: parallel execution is
-// bit-identical to serial by the core contract, so serial and parallel
-// callers share cache entries (a hit may therefore report the
-// Stats.WorkersUsed of whichever execution populated it).
+// search returns.
 type optsKey struct {
 	k, dmax, maxNodes          int
 	mu, lambda                 float64

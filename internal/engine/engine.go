@@ -2,12 +2,6 @@
 // search algorithms: a bounded worker pool, per-query deadlines, an LRU
 // result cache, and a batch API that fans M queries out across W workers.
 //
-// Queries may also request intra-query parallelism (core.Options.Workers);
-// the engine grants those workers opportunistically out of the same pool
-// budget, so the total number of search goroutines stays bounded by the
-// pool size whether the load is many serial queries or a few parallel
-// ones.
-//
 // The engine relies on the data structures being immutable after build:
 // the graph and index are only ever read, so any number of searches may run
 // in parallel against them. Results returned by the engine may be served
@@ -71,15 +65,6 @@ type Source struct {
 	// rather than a flush.
 	generation   uint64
 	deltaVersion uint64
-	// maxDegree caches the view's maximum combined degree, computed
-	// lazily on the first query that needs it: Bidirectional queries on
-	// hub-free graphs skip the intra-query worker grab entirely. Lazy
-	// because the scan touches every offsets entry — on a zero-copy
-	// snapshot DB that would page the whole offsets section in at
-	// construction, forfeiting the fast-open property for deployments
-	// that never request Workers.
-	maxDegOnce sync.Once
-	maxDegree  int
 }
 
 // NewSource builds a swappable engine source from a graph view and a
@@ -102,19 +87,6 @@ func (s *Source) Generation() uint64 { return s.generation }
 
 // DeltaVersion returns the count of mutation batches layered on the base.
 func (s *Source) DeltaVersion() uint64 { return s.deltaVersion }
-
-// maxDeg returns the view's maximum combined degree, scanning once on
-// first use.
-func (s *Source) maxDeg() int {
-	s.maxDegOnce.Do(func() {
-		for u := 0; u < s.graph.NumNodes(); u++ {
-			if d := s.graph.Degree(graph.NodeID(u)); d > s.maxDegree {
-				s.maxDegree = d
-			}
-		}
-	})
-	return s.maxDegree
-}
 
 // Engine executes keyword searches against one immutable graph+index pair
 // with bounded concurrency, deadlines and result caching. The pair is
@@ -169,9 +141,8 @@ func (e *Engine) Counters() Counters {
 	}
 }
 
-// InFlight reports how many pool slots are currently held. This counts
-// executing queries plus any extra slots granted for intra-query
-// parallelism, so it can exceed the number of distinct queries running.
+// InFlight reports how many pool slots are currently held — one per
+// executing query.
 func (e *Engine) InFlight() int { return len(e.sem) }
 
 // Quiesce blocks until every pool slot is simultaneously free — i.e. no
@@ -259,41 +230,6 @@ func (e *Engine) Swap(src *Source) {
 	e.src.Store(src)
 }
 
-// workersUsable caps an intra-query worker request at what the algorithm
-// can actually put to work on this query: 0 for algorithms that ignore
-// Workers, the per-keyword-node iterator count for MI-Backward, 0 for
-// Bidirectional on graphs with no hub dense enough to shard, and
-// core.MaxWorkers always (mirroring the core clamp). maxDegree is a
-// function so the degree scan runs only for Bidirectional requests.
-func workersUsable(algo core.Algo, requested int, kw [][]graph.NodeID, maxDegree func() int) int {
-	if requested <= 0 {
-		return 0
-	}
-	if requested > core.MaxWorkers {
-		requested = core.MaxWorkers
-	}
-	switch algo {
-	case core.AlgoMIBackward:
-		iters := 0
-		for _, s := range kw {
-			iters += len(s)
-		}
-		if requested > iters {
-			requested = iters
-		}
-		return requested
-	case core.AlgoBidirectional:
-		if maxDegree() < core.BidirShardMinDegree() {
-			return 0
-		}
-		return requested
-	default:
-		// SI-Backward ignores Workers (documented serial fallback);
-		// unknown algorithms fail in core.Search before using any.
-		return 0
-	}
-}
-
 // normalizeTerms lower-cases and trims each term, dropping terms that
 // normalize to nothing. The result is the canonical form used both for
 // index lookup and cache keying.
@@ -371,40 +307,6 @@ func (e *Engine) Search(ctx context.Context, q Query) (*core.Result, error) {
 	kw := make([][]graph.NodeID, len(terms))
 	for i, t := range terms {
 		kw[i] = src.lookup(t)
-	}
-
-	// Intra-query parallelism draws on the same pool budget: a query
-	// asking for Opts.Workers > 0 holds its coordinating slot (acquired
-	// above, blocking) and claims up to Workers extra slots without
-	// blocking — an opportunistic grab, so concurrent queries can never
-	// deadlock on partial grants. The query runs with whatever it got
-	// (possibly zero extras, i.e. serial). Results are unaffected either
-	// way: parallel execution is bit-identical to serial by the core
-	// contract, so the grant shows up only in latency and
-	// Stats.WorkersUsed. The grab is clamped to an upper bound on what
-	// the search can employ: nothing for SI-Backward (documented serial
-	// fallback), at most the iterator count for MI-Backward, nothing for
-	// Bidirectional on a hub-free graph, and never more than
-	// core.MaxWorkers. The bound is graph/query-shaped, not exact — a
-	// Bidirectional search on a hub-capable graph whose frontier never
-	// reaches a hub still holds its granted slots to completion.
-	if want := workersUsable(q.Algo, q.Opts.Workers, kw, src.maxDeg); want > 0 {
-		granted := 0
-		for granted < want {
-			select {
-			case e.sem <- struct{}{}:
-				granted++
-				continue
-			default:
-			}
-			break
-		}
-		q.Opts.Workers = granted
-		defer func() {
-			for i := 0; i < granted; i++ {
-				<-e.sem
-			}
-		}()
 	}
 
 	res, err := core.Search(ctx, src.graph, q.Algo, kw, q.Opts)

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -322,50 +323,31 @@ func TestSearchBatch(t *testing.T) {
 	// The in-batch duplicate (query 4) may or may not hit the cache — its
 	// dispatcher can reach the lookup while query 0 is still in flight
 	// (query 1 fails instantly, freeing its dispatcher early), which is a
-	// legitimate miss. What IS guaranteed: after the batch completes, the
-	// result is cached, so a repeat query must share it.
+	// legitimate miss. When both miss, both run and the later cache put
+	// wins. What IS guaranteed: after the batch completes, one of the two
+	// results is cached, so a repeat query must share it, and both carry
+	// identical answers.
 	again, againErrs := e.SearchBatch(context.Background(), qs[:1])
 	if againErrs[0] != nil {
 		t.Fatalf("repeat query: %v", againErrs[0])
 	}
-	if again[0] != results[0] {
-		t.Fatal("repeat query did not share the cached result")
+	if again[0] != results[0] && again[0] != results[4] {
+		t.Fatal("repeat query did not share a cached batch result")
+	}
+	if len(results[0].Answers) != len(results[4].Answers) {
+		t.Fatalf("duplicate queries returned %d and %d answers", len(results[0].Answers), len(results[4].Answers))
+	}
+	for i := range results[0].Answers {
+		a, b := *results[0].Answers[i], *results[4].Answers[i]
+		a.GeneratedAt, a.OutputAt, b.GeneratedAt, b.OutputAt = 0, 0, 0, 0
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("duplicate queries diverged at answer %d:\n%+v\n%+v", i, a, b)
+		}
 	}
 
 	// Empty batch is a no-op.
 	r0, e0 := e.SearchBatch(nil, nil)
 	if len(r0) != 0 || len(e0) != 0 {
 		t.Fatal("empty batch returned entries")
-	}
-}
-
-// TestWorkersUsable pins the grant clamp: no slots for algorithms that
-// ignore Workers, at most the iterator count for MI-Backward, none for
-// Bidirectional on a hub-free graph, and never more than core.MaxWorkers
-// — the pool must not reserve slots a search cannot employ.
-func TestWorkersUsable(t *testing.T) {
-	kw2 := [][]graph.NodeID{{1}, {2}} // 2 MI iterators
-	hub := core.BidirShardMinDegree()
-	cases := []struct {
-		algo      core.Algo
-		requested int
-		kw        [][]graph.NodeID
-		maxDeg    int
-		want      int
-	}{
-		{core.AlgoSIBackward, 8, kw2, hub, 0},
-		{core.AlgoMIBackward, 8, kw2, hub, 2},
-		{core.AlgoMIBackward, 1, kw2, hub, 1},
-		{core.AlgoBidirectional, 8, kw2, hub, 8},
-		{core.AlgoBidirectional, 8, kw2, hub - 1, 0},
-		{core.AlgoBidirectional, core.MaxWorkers + 100, kw2, hub, core.MaxWorkers},
-		{core.AlgoMIBackward, 0, kw2, hub, 0},
-		{core.AlgoMIBackward, -3, kw2, hub, 0},
-		{core.Algo("bogus"), 8, kw2, hub, 0},
-	}
-	for _, tc := range cases {
-		if got := workersUsable(tc.algo, tc.requested, tc.kw, func() int { return tc.maxDeg }); got != tc.want {
-			t.Errorf("workersUsable(%s, %d, maxDeg %d) = %d, want %d", tc.algo, tc.requested, tc.maxDeg, got, tc.want)
-		}
 	}
 }

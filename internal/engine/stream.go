@@ -188,22 +188,8 @@ func (e *Engine) SearchStream(ctx context.Context, q Query, so StreamOptions) (*
 	for i, t := range terms {
 		kw[i] = src.lookup(t)
 	}
-	// Opportunistic intra-query worker grant, identical to Search.
-	granted := 0
-	if want := workersUsable(q.Algo, q.Opts.Workers, kw, src.maxDeg); want > 0 {
-		for granted < want {
-			select {
-			case e.sem <- struct{}{}:
-				granted++
-				continue
-			default:
-			}
-			break
-		}
-	}
-	q.Opts.Workers = granted
 
-	go e.runStream(runCtx, cancel, st, src, q, kw, so, key, cacheable, granted)
+	go e.runStream(runCtx, cancel, st, src, q, kw, so, key, cacheable)
 	return st, nil
 }
 
@@ -221,7 +207,7 @@ func knownAlgo(a core.Algo) bool {
 // runStream executes the search on its own goroutine, feeding the stream
 // through the core Emit seam.
 func (e *Engine) runStream(ctx context.Context, cancel context.CancelFunc, st *Stream,
-	src *Source, q Query, kw [][]graph.NodeID, so StreamOptions, key cacheKey, cacheable bool, granted int) {
+	src *Source, q Query, kw [][]graph.NodeID, so StreamOptions, key cacheKey, cacheable bool) {
 	defer cancel()
 
 	// sent and degraded are touched only by the Emit callback and the
@@ -255,11 +241,9 @@ func (e *Engine) runStream(ctx context.Context, cancel context.CancelFunc, st *S
 
 	res, err := core.Search(ctx, src.graph, q.Algo, kw, opts)
 
-	// The search is over: return the pool slots before tail delivery,
+	// The search is over: return the pool slot before tail delivery,
 	// which runs at the consumer's pace and must not hold pool capacity.
-	for i := 0; i <= granted; i++ {
-		<-e.sem
-	}
+	<-e.sem
 
 	if err != nil {
 		// Unreachable in practice — SearchStream validated the query —

@@ -83,9 +83,9 @@ func TestSearchStreamValidatesSynchronously(t *testing.T) {
 	}
 	var oe *core.OptionsError
 	_, err = e.SearchStream(nil, Query{Terms: []string{"alpha"}, Algo: core.AlgoBidirectional,
-		Opts: core.Options{Workers: -1}}, StreamOptions{})
-	if !errors.As(err, &oe) || oe.Field != "Workers" {
-		t.Fatalf("want *core.OptionsError on Workers, got %v", err)
+		Opts: core.Options{K: -1}}, StreamOptions{})
+	if !errors.As(err, &oe) || oe.Field != "K" {
+		t.Fatalf("want *core.OptionsError on K, got %v", err)
 	}
 }
 

@@ -252,8 +252,8 @@ type routedBatchParams struct {
 
 // routedBatchResponse is the routed /v1/batch body: results[i] and
 // errors[i] mirror queries[i], exactly one of the pair non-null — the
-// same contract the shards serve. Element-level clamps (k, workers,
-// timeout) are disclosed on each element, as resolved by the shards.
+// same contract the shards serve. Element-level clamps (k, timeout) are
+// disclosed on each element, as resolved by the shards.
 type routedBatchResponse struct {
 	Results []*searchResponse `json:"results"`
 	Errors  []*errorJSON      `json:"errors"`

@@ -148,20 +148,17 @@ func TestAggregateCountersAndStickyFlags(t *testing.T) {
 	agg := aggregate([]*shardResult{
 		trailerFor(0, 0, func(tr *shardLine) {
 			tr.Stats = statsJSON{NodesExplored: 10, NodesTouched: 20, EdgesRelaxed: 30,
-				AnswersGenerated: 2, WorkersUsed: 4, DurationMS: 1.5}
+				AnswersGenerated: 2, DurationMS: 1.5}
 		}),
 		trailerFor(1, 0, func(tr *shardLine) {
 			tr.Truncated = true
 			tr.Degraded = true
 			tr.Stats = statsJSON{NodesExplored: 1, NodesTouched: 2, EdgesRelaxed: 3,
-				AnswersGenerated: 1, WorkersUsed: 8, DurationMS: 0.5, BudgetExhausted: true}
+				AnswersGenerated: 1, DurationMS: 0.5, BudgetExhausted: true}
 		}),
 	})
 	if agg.stats.NodesExplored != 11 || agg.stats.NodesTouched != 22 || agg.stats.EdgesRelaxed != 33 || agg.stats.AnswersGenerated != 3 {
 		t.Errorf("work counters did not sum: %+v", agg.stats)
-	}
-	if agg.stats.WorkersUsed != 8 {
-		t.Errorf("workers_used = %d, want max 8", agg.stats.WorkersUsed)
 	}
 	if agg.stats.DurationMS != 1.5 {
 		t.Errorf("duration_ms = %g, want slowest shard 1.5", agg.stats.DurationMS)

@@ -14,14 +14,14 @@ import (
 // FuzzDecodeSearchRequest throws arbitrary bytes at the /v1/search
 // decoder through both transports (URL query string and JSON body) and
 // checks the decoder's contract: it never panics, and whatever it
-// accepts respects the tenant clamps — no fuzz input may smuggle a k,
-// worker count or deadline past the caps, because those caps are the
-// serving layer's overload defense.
+// accepts respects the tenant clamps — no fuzz input may smuggle a k or
+// deadline past the caps, because those caps are the serving layer's
+// overload defense.
 func FuzzDecodeSearchRequest(f *testing.F) {
 	seeds := []string{
 		"q=database+query&k=3",
 		"q=gray+transaction&algo=mi-backward&workers=4&timeout=250ms",
-		"q=a&k=999999&workers=999999&timeout=9999999",
+		"q=a&k=999999&timeout=9999999",
 		"q=%21%21%21",
 		"q=db&kk=3",
 		"q=db&mu=1.5&lambda=-1&dmax=-2&max_nodes=-1",
@@ -44,7 +44,7 @@ func FuzzDecodeSearchRequest(f *testing.F) {
 
 	// MaxK below core.DefaultK on purpose: an omitted k runs as the
 	// default, and the cap must bind that too, not just explicit values.
-	lim := TenantLimits{MaxK: 5, MaxWorkers: 3, MaxTimeoutMS: 500, DefaultTimeoutMS: 200, MaxBatch: 4}
+	lim := TenantLimits{MaxK: 5, MaxTimeoutMS: 500, DefaultTimeoutMS: 200, MaxBatch: 4}
 
 	f.Fuzz(func(t *testing.T, data string, asJSON bool) {
 		var r *http.Request
@@ -85,9 +85,6 @@ func FuzzDecodeSearchRequest(f *testing.F) {
 		if effK := req.Opts.Normalized().K; effK > lim.MaxK {
 			t.Fatalf("normalized k %d escaped the cap %d", effK, lim.MaxK)
 		}
-		if req.Opts.Workers > lim.MaxWorkers {
-			t.Fatalf("workers %d escaped the cap %d", req.Opts.Workers, lim.MaxWorkers)
-		}
 		if req.Timeout <= 0 || req.Timeout > lim.MaxTimeout() {
 			t.Fatalf("timeout %v outside (0, %v]", req.Timeout, lim.MaxTimeout())
 		}
@@ -101,15 +98,15 @@ func FuzzDecodeSearchRequest(f *testing.F) {
 // FuzzDecodeStreamRequest throws the same arbitrary inputs at the
 // /v1/search/stream decoder: the stream endpoint must be exactly as
 // strict as /v1/search — no panic, and no accepted request may smuggle a
-// k, worker count or deadline past the tenant caps by asking for a
-// stream instead of a batch response. The per-tenant in-flight quota is
+// k or deadline past the tenant caps by asking for a stream instead of a
+// batch response. The per-tenant in-flight quota is
 // enforced at admission (before decoding), so the decoder contract here
 // is the caps themselves.
 func FuzzDecodeStreamRequest(f *testing.F) {
 	seeds := []string{
 		"q=database+query&k=3",
 		"q=gray+transaction&algo=mi-backward&workers=4&timeout=250ms",
-		"q=a&k=999999&workers=999999&timeout=9999999",
+		"q=a&k=999999&timeout=9999999",
 		"q=db&strict_bound=true&activation_sum=1",
 		"q=db&mu=NaN&lambda=Inf",
 		`{"query":"database query","k":3}`,
@@ -123,7 +120,7 @@ func FuzzDecodeStreamRequest(f *testing.F) {
 		f.Add(s, false)
 	}
 
-	lim := TenantLimits{MaxK: 5, MaxWorkers: 3, MaxTimeoutMS: 500, DefaultTimeoutMS: 200, MaxBatch: 4, MaxInFlight: 2}
+	lim := TenantLimits{MaxK: 5, MaxTimeoutMS: 500, DefaultTimeoutMS: 200, MaxBatch: 4, MaxInFlight: 2}
 
 	f.Fuzz(func(t *testing.T, data string, asJSON bool) {
 		var r *http.Request
@@ -152,9 +149,6 @@ func FuzzDecodeStreamRequest(f *testing.F) {
 		if effK := req.Opts.Normalized().K; effK > lim.MaxK {
 			t.Fatalf("normalized k %d escaped the cap %d", effK, lim.MaxK)
 		}
-		if req.Opts.Workers > lim.MaxWorkers {
-			t.Fatalf("workers %d escaped the cap %d", req.Opts.Workers, lim.MaxWorkers)
-		}
 		if req.Timeout <= 0 || req.Timeout > lim.MaxTimeout() {
 			t.Fatalf("timeout %v outside (0, %v]", req.Timeout, lim.MaxTimeout())
 		}
@@ -176,7 +170,7 @@ func FuzzDecodeBatchRequest(f *testing.F) {
 	f.Add(`{"queries":[]}`)
 	f.Add(`not json`)
 
-	lim := TenantLimits{MaxK: 5, MaxWorkers: 3, MaxTimeoutMS: 500, DefaultTimeoutMS: 200, MaxBatch: 4}
+	lim := TenantLimits{MaxK: 5, MaxTimeoutMS: 500, DefaultTimeoutMS: 200, MaxBatch: 4}
 
 	f.Fuzz(func(t *testing.T, data string) {
 		r := httptest.NewRequest(http.MethodPost, "/v1/batch", strings.NewReader(data))
@@ -197,7 +191,7 @@ func FuzzDecodeBatchRequest(f *testing.F) {
 			if req == nil {
 				t.Fatalf("nil element %d in accepted batch", i)
 			}
-			if effK := req.Opts.Normalized().K; effK > lim.MaxK || req.Opts.Workers > lim.MaxWorkers {
+			if effK := req.Opts.Normalized().K; effK > lim.MaxK {
 				t.Fatalf("element %d escaped caps: %+v", i, req.Opts)
 			}
 		}

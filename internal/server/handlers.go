@@ -46,7 +46,6 @@ type statsJSON struct {
 	NodesTouched     int     `json:"nodes_touched"`
 	EdgesRelaxed     int     `json:"edges_relaxed"`
 	AnswersGenerated int     `json:"answers_generated"`
-	WorkersUsed      int     `json:"workers_used"`
 	DurationMS       float64 `json:"duration_ms"`
 	BudgetExhausted  bool    `json:"budget_exhausted,omitempty"`
 }
@@ -72,7 +71,6 @@ func (s *Server) statsJSON(st banks.Stats) statsJSON {
 		NodesTouched:     st.NodesTouched,
 		EdgesRelaxed:     st.EdgesRelaxed,
 		AnswersGenerated: st.AnswersGenerated,
-		WorkersUsed:      st.WorkersUsed,
 		DurationMS:       float64(st.Duration) / float64(time.Millisecond),
 		BudgetExhausted:  st.BudgetExhausted,
 	}

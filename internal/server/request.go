@@ -81,7 +81,6 @@ type searchParams struct {
 	Query         string  `json:"query"`
 	Algo          string  `json:"algo,omitempty"`
 	K             int     `json:"k,omitempty"`
-	Workers       int     `json:"workers,omitempty"`
 	TimeoutMS     int64   `json:"timeout_ms,omitempty"`
 	MaxNodes      int     `json:"max_nodes,omitempty"`
 	DMax          int     `json:"dmax,omitempty"`
@@ -105,8 +104,8 @@ type searchRequest struct {
 
 // queryID derives the stable identifier logged and returned for a query:
 // a hash of the normalized terms, the algorithm, and the options that
-// change the answer (deadline and workers are excluded — they affect how
-// long the search runs, not which query it is). Identical logical queries
+// change the answer (the deadline is excluded — it affects how long the
+// search runs, not which query it is). Identical logical queries
 // therefore share an ID across requests, retries and replicas, which is
 // what makes server logs greppable by query.
 func (r *searchRequest) queryID() string {
@@ -125,7 +124,7 @@ func (r *searchRequest) queryID() string {
 // knownParams lists the accepted /v1/search and /v1/near query-string
 // parameters.
 var knownParams = map[string]bool{
-	"q": true, "algo": true, "k": true, "workers": true, "timeout": true,
+	"q": true, "algo": true, "k": true, "timeout": true,
 	"max_nodes": true, "dmax": true, "mu": true, "lambda": true,
 	"strict_bound": true, "activation_sum": true,
 }
@@ -143,9 +142,6 @@ func paramsFromQueryString(values url.Values) (*searchParams, *httpError) {
 	p := &searchParams{Query: values.Get("q"), Algo: values.Get("algo")}
 	var err *httpError
 	if p.K, err = intParam(values, "k"); err != nil {
-		return nil, err
-	}
-	if p.Workers, err = intParam(values, "workers"); err != nil {
 		return nil, err
 	}
 	if p.MaxNodes, err = intParam(values, "max_nodes"); err != nil {
@@ -297,7 +293,6 @@ func (p *searchParams) resolve(lim TenantLimits) (*searchRequest, *httpError) {
 		Algo:  algo,
 		Opts: banks.Options{
 			K:             p.K,
-			Workers:       p.Workers,
 			MaxNodes:      p.MaxNodes,
 			DMax:          p.DMax,
 			Mu:            p.Mu,
@@ -320,10 +315,6 @@ func (p *searchParams) resolve(lim TenantLimits) (*searchRequest, *httpError) {
 			req.Opts.K = lim.MaxK
 			req.Clamped = append(req.Clamped, "k")
 		}
-	}
-	if req.Opts.Workers > lim.MaxWorkers {
-		req.Opts.Workers = lim.MaxWorkers
-		req.Clamped = append(req.Clamped, "workers")
 	}
 	var timeoutClamped bool
 	req.Timeout, timeoutClamped = clampTimeout(req.Timeout, lim)

@@ -36,6 +36,7 @@ func TestBadRequests(t *testing.T) {
 		{name: "missing q", method: "GET", target: "/v1/search", wantCode: "bad_request", wantField: "q"},
 		{name: "stopword-only query", method: "GET", target: "/v1/search?q=%21%21%21", wantCode: "bad_request", wantField: "q"},
 		{name: "unknown parameter", method: "GET", target: "/v1/search?q=db&kk=3", wantCode: "bad_request", wantField: "kk"},
+		{name: "workers is an unknown parameter", method: "GET", target: "/v1/search?q=db&workers=4", wantCode: "bad_request", wantField: "workers"},
 		{name: "repeated parameter", method: "GET", target: "/v1/search?q=db&k=1&k=2", wantCode: "bad_request", wantField: "k"},
 		{name: "non-integer k", method: "GET", target: "/v1/search?q=db&k=ten", wantCode: "bad_request", wantField: "k"},
 		{name: "non-number mu", method: "GET", target: "/v1/search?q=db&mu=half", wantCode: "bad_request", wantField: "mu"},
@@ -50,7 +51,6 @@ func TestBadRequests(t *testing.T) {
 		{name: "too many keywords", method: "GET", target: "/v1/search?q=" + strings.Repeat("w+", 17) + "z", wantCode: "bad_request", wantField: "q"},
 
 		{name: "negative k is core's call", method: "GET", target: "/v1/search?q=db&k=-1", wantCode: "bad_options", wantField: "K"},
-		{name: "negative workers is core's call", method: "GET", target: "/v1/search?q=db&workers=-1", wantCode: "bad_options", wantField: "Workers"},
 		{name: "mu out of range is core's call", method: "GET", target: "/v1/search?q=db&mu=1.5", wantCode: "bad_options", wantField: "Mu"},
 		{name: "negative dmax is core's call", method: "GET", target: "/v1/search?q=db&dmax=-2", wantCode: "bad_options", wantField: "DMax"},
 		{name: "negative lambda is core's call", method: "GET", target: "/v1/search?q=db&lambda=-1", wantCode: "bad_options", wantField: "Lambda"},
@@ -58,6 +58,7 @@ func TestBadRequests(t *testing.T) {
 
 		{name: "not json", method: "POST", target: "/v1/search", body: `query=db`, wantCode: "bad_request"},
 		{name: "unknown json field", method: "POST", target: "/v1/search", body: `{"query":"db","kk":3}`, wantCode: "bad_request"},
+		{name: "workers is an unknown json field", method: "POST", target: "/v1/search", body: `{"query":"db","workers":4}`, wantCode: "bad_request"},
 		{name: "trailing json", method: "POST", target: "/v1/search", body: `{"query":"db"} {"query":"again"}`, wantCode: "bad_request"},
 		{name: "negative timeout_ms", method: "POST", target: "/v1/search", body: `{"query":"db","timeout_ms":-5}`, wantCode: "bad_request", wantField: "timeout_ms"},
 		{name: "overflow-sized timeout_ms", method: "POST", target: "/v1/search", body: `{"query":"db","timeout_ms":10000000000000}`, wantCode: "bad_request", wantField: "timeout_ms"},
@@ -101,13 +102,13 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
-// TestBatchElementOptionsError: options only core can judge (negative
-// workers) fail per element, positionally, without sinking the siblings —
-// and still carry the typed field name.
+// TestBatchElementOptionsError: options only core can judge (negative k)
+// fail per element, positionally, without sinking the siblings — and still
+// carry the typed field name.
 func TestBatchElementOptionsError(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	code, body := post(t, ts, "/v1/batch", "",
-		`{"queries":[{"query":"database query","k":1},{"query":"db","workers":-1}]}`)
+		`{"queries":[{"query":"database query","k":1},{"query":"db","k":-1}]}`)
 	if code != http.StatusOK {
 		t.Fatalf("status %d, want 200 (batch errors are positional)\n%s", code, body)
 	}
@@ -121,8 +122,8 @@ func TestBatchElementOptionsError(t *testing.T) {
 	if resp.Results[1] != nil || resp.Errors[1] == nil {
 		t.Fatal("invalid element did not fail")
 	}
-	if resp.Errors[1].Code != "bad_options" || resp.Errors[1].Field != "queries[1].Workers" {
-		t.Fatalf("element error %+v, want bad_options on queries[1].Workers", resp.Errors[1])
+	if resp.Errors[1].Code != "bad_options" || resp.Errors[1].Field != "queries[1].K" {
+		t.Fatalf("element error %+v, want bad_options on queries[1].K", resp.Errors[1])
 	}
 }
 
@@ -208,8 +209,9 @@ func TestDeadlineTruncation(t *testing.T) {
 	}
 }
 
-// TestQueryIDIgnoresExecutionKnobs: deadline and workers change how a
-// query runs, not what it is — the stable ID must not move.
+// TestQueryIDIgnoresExecutionKnobs: the deadline changes how a query
+// runs, not what it is, and neither does the spelling of its terms — the
+// stable ID must not move.
 func TestQueryIDIgnoresExecutionKnobs(t *testing.T) {
 	lim := generousTenants().Resolve("")
 	base, herr := (&searchParams{Query: "Database Query", K: 3}).resolve(lim)
@@ -218,7 +220,7 @@ func TestQueryIDIgnoresExecutionKnobs(t *testing.T) {
 	}
 	variants := []*searchParams{
 		{Query: "database query", K: 3, TimeoutMS: 50},
-		{Query: "DATABASE   query", K: 3, Workers: 4},
+		{Query: "DATABASE   query", K: 3},
 	}
 	for _, p := range variants {
 		req, herr := p.resolve(lim)

@@ -46,7 +46,7 @@ func testDB(t testing.TB) *banks.DB {
 // queries that make deadlines and admission observable.
 func generousTenants() *TenantConfig {
 	return &TenantConfig{Default: TenantLimits{
-		MaxK: 5000, MaxWorkers: 8, MaxTimeoutMS: 10000, DefaultTimeoutMS: 8000, MaxBatch: 16,
+		MaxK: 5000, MaxTimeoutMS: 10000, DefaultTimeoutMS: 8000, MaxBatch: 16,
 	}}
 }
 
@@ -512,51 +512,4 @@ func (b *syncBuffer) String() string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.sb.String()
-}
-
-// TestSerialFallbackStatsContract pins, end-to-end through the HTTP
-// stats, that inherently sequential query paths ignore a workers request
-// rather than pretending to parallelize: SIBackward and Near accept
-// workers > 0 but report workers_used == 0, while MIBackward (which does
-// parallelize) reports a non-zero count for the same request shape.
-func TestSerialFallbackStatsContract(t *testing.T) {
-	// An explicit pool width: the control query's worker grab is
-	// opportunistic, so on a single-CPU host the default GOMAXPROCS pool
-	// would leave no extra slots and the control would degrade to serial.
-	db := testDB(t)
-	eng, err := banks.NewEngine(db, banks.EngineOptions{Workers: 8, CacheSize: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, ts := newTestServer(t, Config{Engine: eng, DB: db})
-
-	code, body, _ := get(t, ts, "/v1/search?q=database+query&algo=si-backward&k=3&workers=4", "")
-	if code != http.StatusOK {
-		t.Fatalf("si-backward status %d\n%s", code, body)
-	}
-	if resp := decodeSearchResponse(t, body); resp.Stats.WorkersUsed != 0 {
-		t.Fatalf("si-backward workers_used = %d, want 0 (serial fallback)", resp.Stats.WorkersUsed)
-	}
-
-	code, body, _ = get(t, ts, "/v1/near?q=database+query&k=3&workers=4", "")
-	if code != http.StatusOK {
-		t.Fatalf("near status %d\n%s", code, body)
-	}
-	var near nearResponse
-	if err := json.Unmarshal(body, &near); err != nil {
-		t.Fatalf("bad near JSON: %v\n%s", err, body)
-	}
-	if near.Stats.WorkersUsed != 0 {
-		t.Fatalf("near workers_used = %d, want 0 (serial fallback)", near.Stats.WorkersUsed)
-	}
-
-	// Control: an algorithm that does parallelize reports its workers, so
-	// the zeros above are the contract, not a dead counter.
-	code, body, _ = get(t, ts, "/v1/search?q=database+query&algo=mi-backward&k=3&workers=4", "")
-	if code != http.StatusOK {
-		t.Fatalf("mi-backward status %d\n%s", code, body)
-	}
-	if resp := decodeSearchResponse(t, body); resp.Stats.WorkersUsed == 0 {
-		t.Fatal("mi-backward workers_used = 0 with workers=4; control expected parallel execution")
-	}
 }

@@ -62,9 +62,9 @@ type streamTrailerLine struct {
 // decodeStreamRequest decodes and tenant-resolves one /v1/search/stream
 // query. The stream endpoint accepts exactly the /v1/search parameter
 // surface — same strict decoding, same tenant clamps — so asking for a
-// stream can never smuggle k, workers or a deadline past the tenant
-// caps. It is a separate seam (and fuzz target: FuzzDecodeStreamRequest)
-// so the stream surface can diverge later without loosening /v1/search.
+// stream can never smuggle k or a deadline past the tenant caps. It is a
+// separate seam (and fuzz target: FuzzDecodeStreamRequest) so the stream
+// surface can diverge later without loosening /v1/search.
 func decodeStreamRequest(r *http.Request, lim TenantLimits) (*searchRequest, *httpError) {
 	return decodeSearchRequest(r, lim)
 }

@@ -141,7 +141,7 @@ func TestStreamBadRequests(t *testing.T) {
 		"/v1/search/stream",                     // no query
 		"/v1/search/stream?q=db&algo=nope",      // unknown algorithm
 		"/v1/search/stream?q=db&bogus=1",        // unknown parameter
-		"/v1/search/stream?q=db&workers=-1",     // core-invalid option
+		"/v1/search/stream?q=db&k=-1",           // core-invalid option
 		"/v1/search/stream?q=db&timeout=banana", // malformed timeout
 	} {
 		code, body, hdr := get(t, ts, path, "")

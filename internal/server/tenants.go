@@ -14,7 +14,6 @@ import (
 // request should never monopolize the pool.
 const (
 	BuiltinMaxK           = 100
-	BuiltinMaxWorkers     = 8
 	BuiltinMaxTimeout     = 5 * time.Second
 	BuiltinDefaultTimeout = 2 * time.Second
 	BuiltinMaxBatch       = 16
@@ -28,8 +27,6 @@ const (
 type TenantLimits struct {
 	// MaxK caps the requested answer count; larger requests are clamped.
 	MaxK int `json:"max_k,omitempty"`
-	// MaxWorkers caps requested intra-query workers; clamped.
-	MaxWorkers int `json:"max_workers,omitempty"`
 	// MaxTimeoutMS caps the per-request deadline in milliseconds; longer
 	// requests are clamped.
 	MaxTimeoutMS int64 `json:"max_timeout_ms,omitempty"`
@@ -81,9 +78,6 @@ func (l TenantLimits) overlay(base TenantLimits) TenantLimits {
 	if l.MaxK == 0 {
 		l.MaxK = base.MaxK
 	}
-	if l.MaxWorkers == 0 {
-		l.MaxWorkers = base.MaxWorkers
-	}
 	if l.MaxTimeoutMS == 0 {
 		l.MaxTimeoutMS = base.MaxTimeoutMS
 	}
@@ -117,7 +111,6 @@ func (l TenantLimits) validate(who string) error {
 		v    int64
 	}{
 		{"max_k", int64(l.MaxK)},
-		{"max_workers", int64(l.MaxWorkers)},
 		{"max_timeout_ms", l.MaxTimeoutMS},
 		{"default_timeout_ms", l.DefaultTimeoutMS},
 		{"max_batch", int64(l.MaxBatch)},
@@ -135,7 +128,6 @@ func (l TenantLimits) validate(who string) error {
 func builtinLimits() TenantLimits {
 	return TenantLimits{
 		MaxK:             BuiltinMaxK,
-		MaxWorkers:       BuiltinMaxWorkers,
 		MaxTimeoutMS:     BuiltinMaxTimeout.Milliseconds(),
 		DefaultTimeoutMS: BuiltinDefaultTimeout.Milliseconds(),
 		MaxBatch:         BuiltinMaxBatch,
@@ -153,7 +145,7 @@ func builtinLimits() TenantLimits {
 //	{
 //	  "default": {"max_k": 50, "max_timeout_ms": 1000, "default_timeout_ms": 250},
 //	  "tenants": {
-//	    "analytics": {"max_k": 1000, "max_timeout_ms": 30000, "max_workers": 8},
+//	    "analytics": {"max_k": 1000, "max_timeout_ms": 30000},
 //	    "autocomplete": {"max_k": 5, "max_timeout_ms": 50}
 //	  }
 //	}

@@ -14,7 +14,7 @@ func testTenantConfig() *TenantConfig {
 		Default: TenantLimits{MaxK: 50, DefaultTimeoutMS: 1000},
 		Tenants: map[string]TenantLimits{
 			"autocomplete": {MaxK: 5, MaxTimeoutMS: 100, DefaultTimeoutMS: 50},
-			"analytics":    {MaxK: 1000, MaxWorkers: 16, MaxTimeoutMS: 30000, MaxBatch: 64},
+			"analytics":    {MaxK: 1000, MaxTimeoutMS: 30000, MaxBatch: 64},
 			"tight":        {MaxTimeoutMS: 100},
 		},
 	}
@@ -32,25 +32,25 @@ func TestTenantResolve(t *testing.T) {
 		{
 			name:   "no header gets config default over builtins",
 			tenant: "",
-			want: TenantLimits{MaxK: 50, MaxWorkers: BuiltinMaxWorkers,
+			want: TenantLimits{MaxK: 50,
 				MaxTimeoutMS: BuiltinMaxTimeout.Milliseconds(), DefaultTimeoutMS: 1000, MaxBatch: BuiltinMaxBatch, MaxMutateOps: BuiltinMaxMutateOps},
 		},
 		{
 			name:   "unknown tenant falls back to default chain",
 			tenant: "nobody",
-			want: TenantLimits{MaxK: 50, MaxWorkers: BuiltinMaxWorkers,
+			want: TenantLimits{MaxK: 50,
 				MaxTimeoutMS: BuiltinMaxTimeout.Milliseconds(), DefaultTimeoutMS: 1000, MaxBatch: BuiltinMaxBatch, MaxMutateOps: BuiltinMaxMutateOps},
 		},
 		{
 			name:   "tight tenant overrides, inherits the rest",
 			tenant: "autocomplete",
-			want: TenantLimits{MaxK: 5, MaxWorkers: BuiltinMaxWorkers,
+			want: TenantLimits{MaxK: 5,
 				MaxTimeoutMS: 100, DefaultTimeoutMS: 50, MaxBatch: BuiltinMaxBatch, MaxMutateOps: BuiltinMaxMutateOps},
 		},
 		{
 			name:   "generous tenant may raise caps above builtins",
 			tenant: "analytics",
-			want: TenantLimits{MaxK: 1000, MaxWorkers: 16,
+			want: TenantLimits{MaxK: 1000,
 				MaxTimeoutMS: 30000, DefaultTimeoutMS: 1000, MaxBatch: 64, MaxMutateOps: BuiltinMaxMutateOps},
 		},
 		{
@@ -59,7 +59,7 @@ func TestTenantResolve(t *testing.T) {
 			// omitting a timeout would beat any legal value.
 			name:   "inherited default deadline is bounded by the tenant cap",
 			tenant: "tight",
-			want: TenantLimits{MaxK: 50, MaxWorkers: BuiltinMaxWorkers,
+			want: TenantLimits{MaxK: 50,
 				MaxTimeoutMS: 100, DefaultTimeoutMS: 100, MaxBatch: BuiltinMaxBatch, MaxMutateOps: BuiltinMaxMutateOps},
 		},
 	}
@@ -81,7 +81,6 @@ func TestTenantClamping(t *testing.T) {
 		tenant      string
 		params      searchParams
 		wantK       int
-		wantWorkers int
 		wantTimeout time.Duration
 		wantClamped []string
 	}{
@@ -119,19 +118,10 @@ func TestTenantClamping(t *testing.T) {
 			wantClamped: []string{"k"},
 		},
 		{
-			name:        "workers above the default cap are clamped",
-			tenant:      "",
-			params:      searchParams{Query: "database query", Workers: 32},
-			wantWorkers: BuiltinMaxWorkers,
-			wantTimeout: time.Second,
-			wantClamped: []string{"workers"},
-		},
-		{
 			name:        "generous tenant keeps what default would clamp",
 			tenant:      "analytics",
-			params:      searchParams{Query: "database query", K: 500, Workers: 12, TimeoutMS: 20000},
+			params:      searchParams{Query: "database query", K: 500, TimeoutMS: 20000},
 			wantK:       500,
-			wantWorkers: 12,
 			wantTimeout: 20 * time.Second,
 		},
 		{
@@ -149,9 +139,6 @@ func TestTenantClamping(t *testing.T) {
 			}
 			if req.Opts.K != tc.wantK {
 				t.Errorf("K = %d, want %d", req.Opts.K, tc.wantK)
-			}
-			if req.Opts.Workers != tc.wantWorkers {
-				t.Errorf("Workers = %d, want %d", req.Opts.Workers, tc.wantWorkers)
 			}
 			if req.Timeout != tc.wantTimeout {
 				t.Errorf("Timeout = %v, want %v", req.Timeout, tc.wantTimeout)
