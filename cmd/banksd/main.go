@@ -73,7 +73,6 @@ func run() error {
 	compactAfterOps := flag.Uint64("compact-after-ops", 0, "auto-compact once this many ops accumulate since the base generation (0 disables)")
 	compactAfterBytes := flag.Int64("compact-after-bytes", 0, "auto-compact once the WAL grows past this many bytes (0 disables)")
 	follow := flag.String("follow", "", "run as a replication follower tailing this primary's WAL, e.g. http://primary:8080 (requires -live -wal -snapshot; local writes answer 409 not_primary; see docs/REPLICATION.md)")
-	legacyErrors := flag.Bool("legacy-errors", true, "keep the deprecated error-envelope mirror fields (top-level code, error.status, error.message); false emits the pure v1 shape (see docs/ERRORS.md)")
 	streamDropToBatch := flag.Bool("stream-drop-to-batch", false, "degrade slow /v1/search/stream consumers to batch delivery instead of blocking answer generation (see docs/STREAMING.md)")
 	drainGrace := flag.Duration("drain-grace", time.Second, "window between /healthz turning 503 and the listener closing, so load balancers can observe unreadiness and stop routing (0 for tests)")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "how long graceful shutdown waits for in-flight requests")
@@ -201,7 +200,6 @@ func run() error {
 		Dataset:           desc,
 		StreamDropToBatch: *streamDropToBatch,
 		Follower:          follower,
-		V1ErrorsOnly:      !*legacyErrors,
 	})
 	if err != nil {
 		return err

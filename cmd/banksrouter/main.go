@@ -11,7 +11,6 @@
 //
 // Usage (pick exactly one topology source):
 //
-//	banksrouter -shards http://127.0.0.1:8081,http://127.0.0.1:8082 ...
 //	banksrouter -shard 0=http://10.0.0.1:8081,http://10.0.0.2:8081 \
 //	            -shard 1=http://10.0.0.1:8082,http://10.0.0.2:8082 ...
 //	banksrouter -topology topology.json ...
@@ -19,10 +18,9 @@
 // plus [-addr :8080] [-probe-interval 5s] [-hedge-after 0]
 // [-drain-grace 1s] [-drain-timeout 15s].
 //
-// -shards lists one replica per shard in shard order (the pre-replica
-// style); -shard is repeatable with an explicit shard index and
-// comma-separated replica URLs; -topology names a JSON file of the form
-// {"shards": [["urlA","urlB"], ["urlC"]]}. Position/index i must serve
+// -shard is repeatable with an explicit shard index and comma-separated
+// replica URLs; -topology names a JSON file of the form
+// {"shards": [["urlA","urlB"], ["urlC"]]}. Index i must serve
 // shard i of N (the router's /statusz flags backends whose own shard
 // claim contradicts their slot). On SIGTERM or SIGINT the router drains
 // gracefully, mirroring banksd: /healthz flips to 503, listeners close,
@@ -38,7 +36,6 @@ import (
 	"log"
 	"net/http"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -55,7 +52,6 @@ func main() {
 
 func run() error {
 	addr := flag.String("addr", ":8080", "listen address")
-	shards := flag.String("shards", "", "comma-separated shard base URLs, one replica per shard, in shard order")
 	var shardSpecs []string
 	flag.Func("shard", "repeatable shard spec <index>=<url>[,<url>...] listing one shard's replicas", func(v string) error {
 		shardSpecs = append(shardSpecs, v)
@@ -69,7 +65,7 @@ func run() error {
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "how long graceful shutdown waits for in-flight requests")
 	flag.Parse()
 
-	topology, err := resolveTopology(*shards, shardSpecs, *topologyPath)
+	topology, err := resolveTopology(shardSpecs, *topologyPath)
 	if err != nil {
 		return err
 	}
@@ -122,35 +118,15 @@ func run() error {
 }
 
 // resolveTopology builds the shard→replicas table from exactly one of
-// the three topology flags.
-func resolveTopology(shards string, shardSpecs []string, topologyPath string) ([][]string, error) {
-	sources := 0
-	if shards != "" {
-		sources++
-	}
-	if len(shardSpecs) > 0 {
-		sources++
-	}
-	if topologyPath != "" {
-		sources++
-	}
+// the two topology flags.
+func resolveTopology(shardSpecs []string, topologyPath string) ([][]string, error) {
 	switch {
-	case sources == 0:
-		return nil, errors.New("a topology is required: -shards, repeated -shard, or -topology")
-	case sources > 1:
-		return nil, errors.New("-shards, -shard and -topology are mutually exclusive; pick one")
-	}
-	if topologyPath != "" {
+	case len(shardSpecs) > 0 && topologyPath != "":
+		return nil, errors.New("-shard and -topology are mutually exclusive; pick one")
+	case topologyPath != "":
 		return router.LoadTopologyFile(topologyPath)
-	}
-	if len(shardSpecs) > 0 {
+	case len(shardSpecs) > 0:
 		return router.ParseShardSpecs(shardSpecs)
 	}
-	var urls []string
-	for _, u := range strings.Split(shards, ",") {
-		if u = strings.TrimSpace(u); u != "" {
-			urls = append(urls, u)
-		}
-	}
-	return router.SingleReplicaTopology(urls), nil
+	return nil, errors.New("a topology is required: repeated -shard, or -topology")
 }

@@ -8,13 +8,10 @@
 //	datagen -dataset dblp -factor 1 -out dblp.snap       # generate + save
 //	datagen -dataset dblp -out dblp.snap -shards 3       # + 3 shard files
 //	datagen -in dblp.snap                                # load + stats
-//	datagen -dataset dblp -legacy-graph dblp.graph       # graph-only BNK2 file
 //	datagen -out x.snap -mutations 50 -mutations-out m.json  # + mutation trace
 //
-// -in accepts both the snapshot format ("BANKSNAP") and the legacy
-// graph-only "BNK2" format. At -factor 11 the DBLP-like dataset
-// approaches the paper's 2M-node, 9M-edge graph (§5); the default stays
-// laptop-friendly.
+// At -factor 11 the DBLP-like dataset approaches the paper's 2M-node,
+// 9M-edge graph (§5); the default stays laptop-friendly.
 //
 // With -shards N the dataset is additionally partitioned into N
 // component-closed shard snapshots named "<out>.shard<i>of<N>", ready to
@@ -35,7 +32,6 @@ import (
 
 	"banks"
 	"banks/internal/datagen"
-	"banks/internal/graph"
 	"banks/internal/shard"
 )
 
@@ -47,11 +43,10 @@ func main() {
 	factor := flag.Float64("factor", 1, "scale factor (1 ≈ 180k tuples; paper scale ≈ 11)")
 	out := flag.String("out", "", "write the built graph+index snapshot to this file")
 	shards := flag.Int("shards", 1, "also partition into N component-closed shard snapshots named <out>.shard<i>of<N>")
-	legacyOut := flag.String("legacy-graph", "", "also write the graph (only) in the legacy BNK2 format")
 	mutations := flag.Int("mutations", 0, "also emit a mutation trace of N ops as a /v1/mutate request body (requires -mutations-out)")
 	mutationsOut := flag.String("mutations-out", "", "write the mutation trace here (JSON, curl-able against POST /v1/mutate)")
 	mutationsSeed := flag.Int64("mutations-seed", 1, "seed for the mutation trace generator")
-	in := flag.String("in", "", "load a snapshot or legacy graph file and print stats instead of generating")
+	in := flag.String("in", "", "open a snapshot file and print stats instead of generating")
 	flag.Parse()
 
 	if *shards < 1 {
@@ -127,20 +122,6 @@ func main() {
 		}
 		fmt.Printf("wrote mutation trace %s (%d ops)\n", *mutationsOut, *mutations)
 	}
-	if *legacyOut != "" {
-		f, err := os.Create(*legacyOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		n, err := db.Graph.WriteTo(f)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote legacy graph %s (%d bytes)\n", *legacyOut, n)
-	}
 }
 
 // writeMutationTrace emits n valid mutation ops as one /v1/mutate request
@@ -191,28 +172,8 @@ func writeMutationTrace(path string, n int, seed int64, db *banks.DB) error {
 	return os.WriteFile(path, append(body, '\n'), 0o666)
 }
 
-// printStats sniffs the file's magic and prints stats for either format.
+// printStats opens a snapshot and prints its stats.
 func printStats(path string) {
-	f, err := os.Open(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	var m [4]byte
-	if _, err := f.ReadAt(m[:], 0); err != nil {
-		log.Fatal(err)
-	}
-
-	if string(m[:]) == "BNK2" { // legacy graph-only format
-		g, err := graph.Read(f)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%s (legacy graph): %d nodes, %d original edges, %d relations, max prestige %.3f\n",
-			path, g.NumNodes(), g.NumEdges(), len(g.Tables()), g.MaxPrestige())
-		return
-	}
-
 	start := time.Now()
 	db, err := banks.OpenSnapshot(path)
 	if err != nil {

@@ -1,24 +1,26 @@
-// Package api defines the v1 wire contract shared by every HTTP surface
-// of the system (internal/server and internal/router): the error
-// envelope and the registry of machine-readable error codes.
+// Package api is the HTTP chassis shared by every serving surface of the
+// system — banksd (internal/server), banksrouter (internal/router) and the
+// replication publisher (internal/repl): the v1 error envelope and the
+// registry of machine-readable error codes, the JSON writers, the
+// instrument middleware every request passes through, the health
+// handler, and the Prometheus text helpers (metrics.go).
 //
-// Before this package, each call site minted its own code string and the
-// envelope shape had drifted between the shard server and the router.
-// The v1 contract is one schema:
+// The v1 error contract is one schema:
 //
 //	{"error": {"code": "...", "field": "...", "detail": "..."}}
 //
 // where code is a slug from the registry below, field names the
-// offending request field for validation errors, and detail is the
-// human-readable diagnosis. During the deprecation window the envelope
-// additionally carries the legacy fields clients may still read: a
-// top-level "code" mirroring error.code, and error.status /
-// error.message mirroring the HTTP status and detail. New clients must
-// not depend on the legacy fields; docs/ERRORS.md is the registry of
-// record and states the removal policy.
+// offending request field for validation errors (omitted otherwise), and
+// detail is the human-readable diagnosis. docs/ERRORS.md is the registry
+// of record.
 package api
 
-import "net/http"
+import (
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"strconv"
+)
 
 // Error codes of the v1 registry. Every error either surface emits uses
 // one of these slugs; adding a call site with a new literal means adding
@@ -116,58 +118,47 @@ func Known(code string) bool {
 	return ok
 }
 
-// ErrorDetail is the body of the v1 error envelope. Code, Field and
-// Detail are the contract; Status and Message are legacy aliases
-// (deprecated, mirroring the HTTP status line and Detail) kept while
-// pre-v1 clients migrate.
-type ErrorDetail struct {
-	Code   string `json:"code"`
-	Field  string `json:"field,omitempty"`
-	Detail string `json:"detail"`
+// Error is one client-facing failure with a definite HTTP mapping. It
+// marshals as the body of the v1 envelope (and as one element of a
+// per-element error array such as /v1/batch's errors[i]); Status and
+// RetryAfter travel in the status line and the Retry-After header.
+type Error struct {
+	Status     int    `json:"-"`
+	Code       string `json:"code"`
+	Field      string `json:"field,omitempty"`
+	Detail     string `json:"detail"`
+	RetryAfter int    `json:"-"` // seconds; emitted as Retry-After when > 0
+}
 
-	// Deprecated: legacy aliases, removed after the v1 deprecation
-	// window. Read Code/Detail and the HTTP status line instead.
-	Status  int    `json:"status,omitempty"`
-	Message string `json:"message,omitempty"`
+func (e *Error) Error() string { return e.Detail }
+
+// BadRequest is the common 400: a structurally invalid request, with the
+// offending field when known.
+func BadRequest(field, format string, args ...any) *Error {
+	return &Error{Status: http.StatusBadRequest, Code: CodeBadRequest, Field: field,
+		Detail: fmt.Sprintf(format, args...)}
 }
 
 // ErrorEnvelope is the complete v1 error response body.
 type ErrorEnvelope struct {
-	Error ErrorDetail `json:"error"`
-
-	// Deprecated: LegacyCode mirrors Error.Code at the top level for
-	// pre-v1 clients; removed after the deprecation window.
-	LegacyCode string `json:"code,omitempty"`
+	Error Error `json:"error"`
 }
 
-// NewError assembles a v1 error envelope with the legacy mirror fields
-// filled in.
-func NewError(status int, code, field, detail string) ErrorEnvelope {
-	return ErrorEnvelope{
-		Error:      NewErrorDetail(status, code, field, detail),
-		LegacyCode: code,
+// WriteError renders e as the v1 error envelope. As in WriteJSON, an
+// encode error can only be a broken client connection.
+func WriteError(w http.ResponseWriter, e *Error) {
+	w.Header().Set("Content-Type", "application/json")
+	if e.RetryAfter > 0 {
+		w.Header().Set("Retry-After", strconv.Itoa(e.RetryAfter))
 	}
+	w.WriteHeader(e.Status)
+	_ = json.NewEncoder(w).Encode(ErrorEnvelope{Error: *e})
 }
 
-// NewErrorDetail assembles one v1 error detail (the element shape used
-// by per-element error arrays, e.g. /v1/batch) with legacy mirrors.
-func NewErrorDetail(status int, code, field, detail string) ErrorDetail {
-	return ErrorDetail{
-		Code:    code,
-		Field:   field,
-		Detail:  detail,
-		Status:  status,
-		Message: detail,
-	}
-}
-
-// V1Only strips the deprecated mirror fields, leaving the pure v1
-// contract — what servers emit once started with -legacy-errors=false.
-func (e ErrorEnvelope) V1Only() ErrorEnvelope {
-	return ErrorEnvelope{Error: e.Error.V1Only()}
-}
-
-// V1Only strips the deprecated mirror fields from one error detail.
-func (d ErrorDetail) V1Only() ErrorDetail {
-	return ErrorDetail{Code: d.Code, Field: d.Field, Detail: d.Detail}
+// WriteJSON encodes a response body. An encode error at this point is a
+// broken client connection — the status line is already out, so there is
+// nothing useful left to report to the peer.
+func WriteJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	_ = json.NewEncoder(w).Encode(v)
 }

@@ -1,8 +1,8 @@
 package api
 
 import (
-	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 )
 
@@ -40,47 +40,37 @@ func TestRegistryCoversConstants(t *testing.T) {
 	}
 }
 
-// TestEnvelopeShape pins the exact v1 wire shape — the new contract
-// fields AND the legacy mirrors — so neither can drift silently.
+// TestEnvelopeShape pins the exact v1 wire shape WriteError emits: the
+// status line and headers outside, {"error":{code,field,detail}} inside,
+// and nothing else — no legacy top-level code, status or message mirror.
 func TestEnvelopeShape(t *testing.T) {
-	env := NewError(http.StatusBadRequest, CodeBadOptions, "k", "k must be positive")
-	raw, err := json.Marshal(env)
-	if err != nil {
-		t.Fatal(err)
+	rec := httptest.NewRecorder()
+	WriteError(rec, &Error{Status: http.StatusTooManyRequests, Code: CodeOverCapacity, Field: "k",
+		Detail: "server is at its in-flight limit", RetryAfter: 3})
+	if rec.Code != http.StatusTooManyRequests {
+		t.Fatalf("status = %d, want 429", rec.Code)
 	}
-	var m map[string]any
-	if err := json.Unmarshal(raw, &m); err != nil {
-		t.Fatal(err)
+	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("Content-Type = %q", ct)
 	}
-	e, ok := m["error"].(map[string]any)
-	if !ok {
-		t.Fatalf("no error object in %s", raw)
+	if ra := rec.Header().Get("Retry-After"); ra != "3" {
+		t.Fatalf("Retry-After = %q, want 3", ra)
 	}
-	// v1 contract fields.
-	if e["code"] != "bad_options" || e["field"] != "k" || e["detail"] != "k must be positive" {
-		t.Fatalf("v1 fields wrong: %s", raw)
-	}
-	// Legacy mirrors during the deprecation window.
-	if m["code"] != "bad_options" {
-		t.Fatalf("legacy top-level code missing: %s", raw)
-	}
-	if e["status"] != float64(400) || e["message"] != "k must be positive" {
-		t.Fatalf("legacy status/message mirrors missing: %s", raw)
+	want := `{"error":{"code":"over_capacity","field":"k","detail":"server is at its in-flight limit"}}` + "\n"
+	if got := rec.Body.String(); got != want {
+		t.Fatalf("body = %s, want %s", got, want)
 	}
 }
 
 // TestEnvelopeOmitsEmptyField pins that field is omitted when unknown
-// rather than emitted as "".
+// rather than emitted as "", and that Retry-After is absent unless set.
 func TestEnvelopeOmitsEmptyField(t *testing.T) {
-	raw, err := json.Marshal(NewError(http.StatusInternalServerError, CodeInternal, "", "boom"))
-	if err != nil {
-		t.Fatal(err)
+	rec := httptest.NewRecorder()
+	WriteError(rec, &Error{Status: http.StatusInternalServerError, Code: CodeInternal, Detail: "boom"})
+	if got, want := rec.Body.String(), `{"error":{"code":"internal","detail":"boom"}}`+"\n"; got != want {
+		t.Fatalf("body = %s, want %s", got, want)
 	}
-	var m map[string]any
-	if err := json.Unmarshal(raw, &m); err != nil {
-		t.Fatal(err)
-	}
-	if _, present := m["error"].(map[string]any)["field"]; present {
-		t.Fatalf("empty field serialized: %s", raw)
+	if _, ok := rec.Header()["Retry-After"]; ok {
+		t.Fatal("Retry-After set without a RetryAfter")
 	}
 }

@@ -83,3 +83,27 @@ func FromSections(s Sections) (*Graph, error) {
 	}
 	return g, nil
 }
+
+// validate checks the structural invariants every reader of the arrays
+// relies on: offsets start at 0, never decrease and end at len(halves);
+// every node references a known table; every half-edge targets a node.
+func (g *Graph) validate() error {
+	n := int32(g.NumNodes())
+	if g.offsets[0] != 0 || int(g.offsets[n]) != len(g.halves) {
+		return fmt.Errorf("graph: corrupt offsets")
+	}
+	for i := int32(0); i < n; i++ {
+		if g.offsets[i] > g.offsets[i+1] {
+			return fmt.Errorf("graph: decreasing offsets at node %d", i)
+		}
+		if g.nodeTable[i] < 0 || int(g.nodeTable[i]) >= len(g.tables) {
+			return fmt.Errorf("graph: node %d references unknown table %d", i, g.nodeTable[i])
+		}
+	}
+	for i, h := range g.halves {
+		if h.To < 0 || h.To >= NodeID(n) {
+			return fmt.Errorf("graph: half %d references node %d outside [0,%d)", i, h.To, n)
+		}
+	}
+	return nil
+}

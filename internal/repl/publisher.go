@@ -40,9 +40,6 @@ type PublisherConfig struct {
 	// MaxWait caps the long-poll window a client may request (0 means
 	// 25s).
 	MaxWait time.Duration
-	// WriteError emits an error response in the host server's envelope
-	// dialect. nil means the full api envelope (legacy mirrors included).
-	WriteError func(w http.ResponseWriter, status int, code, field, detail string)
 }
 
 // Publisher serves a primary's WAL to followers: the log endpoint with
@@ -62,13 +59,6 @@ func NewPublisher(cfg PublisherConfig) (*Publisher, error) {
 	}
 	if cfg.MaxWait <= 0 {
 		cfg.MaxWait = 25 * time.Second
-	}
-	if cfg.WriteError == nil {
-		cfg.WriteError = func(w http.ResponseWriter, status int, code, field, detail string) {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(status)
-			json.NewEncoder(w).Encode(api.NewError(status, code, field, detail))
-		}
 	}
 	return &Publisher{cfg: cfg}, nil
 }
@@ -100,25 +90,25 @@ func (p *Publisher) conflict(w http.ResponseWriter, pos Position) {
 // up and asked to wait.
 func (p *Publisher) ServeLog(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		p.cfg.WriteError(w, http.StatusMethodNotAllowed, api.CodeMethodNotAllowed, "", "replication log is GET-only")
+		api.WriteError(w, &api.Error{Status: http.StatusMethodNotAllowed, Code: api.CodeMethodNotAllowed, Detail: "replication log is GET-only"})
 		return
 	}
 	q := r.URL.Query()
 	gen, err := strconv.ParseUint(q.Get("gen"), 10, 64)
 	if err != nil {
-		p.cfg.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "gen", "gen must be the follower's base generation")
+		api.WriteError(w, api.BadRequest("gen", "gen must be the follower's base generation"))
 		return
 	}
 	from, err := strconv.ParseInt(q.Get("from"), 10, 64)
 	if err != nil {
-		p.cfg.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "from", "from must be the follower's WAL end offset")
+		api.WriteError(w, api.BadRequest("from", "from must be the follower's WAL end offset"))
 		return
 	}
 	var wait time.Duration
 	if s := q.Get("wait"); s != "" {
 		ms, err := strconv.ParseInt(s, 10, 64)
 		if err != nil || ms < 0 {
-			p.cfg.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "wait", "wait must be a non-negative millisecond count")
+			api.WriteError(w, api.BadRequest("wait", "wait must be a non-negative millisecond count"))
 			return
 		}
 		wait = time.Duration(ms) * time.Millisecond
@@ -145,7 +135,7 @@ func (p *Publisher) ServeLog(w http.ResponseWriter, r *http.Request) {
 			// a real fault.
 			var ce *wal.ErrCorrupt
 			if errors.As(err, &ce) {
-				p.cfg.WriteError(w, http.StatusInternalServerError, api.CodeInternal, "", "replication log read: "+err.Error())
+				api.WriteError(w, &api.Error{Status: http.StatusInternalServerError, Code: api.CodeInternal, Detail: "replication log read: " + err.Error()})
 				return
 			}
 			p.conflict(w, p.position())
@@ -184,13 +174,13 @@ func (p *Publisher) ServeLog(w http.ResponseWriter, r *http.Request) {
 // follower just re-handshakes).
 func (p *Publisher) ServeSnapshot(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		p.cfg.WriteError(w, http.StatusMethodNotAllowed, api.CodeMethodNotAllowed, "", "replication snapshot is GET-only")
+		api.WriteError(w, &api.Error{Status: http.StatusMethodNotAllowed, Code: api.CodeMethodNotAllowed, Detail: "replication snapshot is GET-only"})
 		return
 	}
 	pos := p.position()
 	path := p.cfg.Source.BasePath()
 	if path == "" {
-		p.cfg.WriteError(w, http.StatusServiceUnavailable, api.CodeInternal, "", "this primary has no snapshot path; followers cannot bootstrap from it")
+		api.WriteError(w, &api.Error{Status: http.StatusServiceUnavailable, Code: api.CodeInternal, Detail: "this primary has no snapshot path; followers cannot bootstrap from it"})
 		return
 	}
 	f, err := os.Open(path)
@@ -202,13 +192,13 @@ func (p *Publisher) ServeSnapshot(w http.ResponseWriter, r *http.Request) {
 		if os.IsNotExist(err) {
 			status = http.StatusServiceUnavailable
 		}
-		p.cfg.WriteError(w, status, api.CodeInternal, "", "open base snapshot: "+err.Error())
+		api.WriteError(w, &api.Error{Status: status, Code: api.CodeInternal, Detail: "open base snapshot: " + err.Error()})
 		return
 	}
 	defer f.Close()
 	st, err := f.Stat()
 	if err != nil {
-		p.cfg.WriteError(w, http.StatusInternalServerError, api.CodeInternal, "", "stat base snapshot: "+err.Error())
+		api.WriteError(w, &api.Error{Status: http.StatusInternalServerError, Code: api.CodeInternal, Detail: "stat base snapshot: " + err.Error()})
 		return
 	}
 	setPositionHeaders(w.Header(), pos)

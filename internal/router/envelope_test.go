@@ -1,50 +1,80 @@
-package router
+package router_test
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
-	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"banks/internal/api"
 )
 
-// TestErrorEnvelopeBothShapes pins the router's error envelope to the
-// shared v1 contract: new fields (error.code/detail) and the legacy
-// mirrors (top-level code, error.status, error.message) must both be
-// present during the deprecation window — and byte-compatible with what
-// the shard servers emit, since clients cannot tell which tier answered.
-func TestErrorEnvelopeBothShapes(t *testing.T) {
-	rec := httptest.NewRecorder()
-	writeError(rec, &httpError{status: http.StatusNotImplemented,
-		code: api.CodeNotRouted, message: "near queries are not routable"})
-	if rec.Code != http.StatusNotImplemented {
-		t.Fatalf("status = %d, want 501", rec.Code)
+// decodeV1Envelope asserts body is exactly the v1 error envelope — the
+// top level holds only "error", and error only code, field and detail,
+// with code and detail present — and returns its error object.
+func decodeV1Envelope(t *testing.T, body []byte) api.Error {
+	t.Helper()
+	var top map[string]json.RawMessage
+	if err := json.Unmarshal(body, &top); err != nil {
+		t.Fatalf("bad JSON: %v\n%s", err, body)
 	}
-	var m map[string]any
-	if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil {
-		t.Fatalf("bad JSON: %v", err)
+	if len(top) != 1 || top["error"] == nil {
+		t.Fatalf("top-level keys must be exactly {error}: %s", body)
 	}
-	e, ok := m["error"].(map[string]any)
-	if !ok {
-		t.Fatalf("no error object: %s", rec.Body.Bytes())
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(top["error"], &keys); err != nil {
+		t.Fatalf("error is not an object: %s", body)
 	}
-	// v1 contract.
-	if e["code"] != api.CodeNotRouted {
-		t.Fatalf("error.code = %v, want %q", e["code"], api.CodeNotRouted)
+	for k := range keys {
+		if k != "code" && k != "field" && k != "detail" {
+			t.Fatalf("error carries key %q outside {code, field, detail}: %s", k, body)
+		}
 	}
-	if e["detail"] != "near queries are not routable" {
-		t.Fatalf("error.detail = %v", e["detail"])
+	var e api.Error
+	if err := json.Unmarshal(top["error"], &e); err != nil {
+		t.Fatal(err)
 	}
-	// Legacy shape, kept during deprecation.
-	if m["code"] != api.CodeNotRouted {
-		t.Fatalf("legacy top-level code = %v, want %q", m["code"], api.CodeNotRouted)
+	if e.Code == "" || e.Detail == "" {
+		t.Fatalf("error lacks code or detail: %s", body)
 	}
-	if e["status"] != float64(http.StatusNotImplemented) {
-		t.Fatalf("legacy error.status = %v, want 501", e["status"])
+	return e
+}
+
+// TestErrorEnvelopeV1 pins the router's error shape to the v1 envelope
+// the shard servers emit — clients cannot tell which tier answered — for
+// the router's own rejection (not_routed) and for a shard's 4xx passed
+// through with its status, code and diagnosis.
+func TestErrorEnvelopeV1(t *testing.T) {
+	d := deploy(t)
+	cases := []struct {
+		name, path string
+		status     int
+		code       string
+		detail     string // substring
+	}{
+		{"not routed", "/v1/near?q=gray", http.StatusNotImplemented, api.CodeNotRouted, "cannot be merged exactly"},
+		{"shard 4xx passthrough", "/v1/search?q=gray&algo=bogus", http.StatusBadRequest, api.CodeBadRequest, "unknown algorithm"},
 	}
-	if e["message"] != "near queries are not routable" {
-		t.Fatalf("legacy error.message = %v", e["message"])
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := http.Get(d.router.URL + tc.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != tc.status {
+				t.Fatalf("HTTP %d, want %d: %s", resp.StatusCode, tc.status, body)
+			}
+			e := decodeV1Envelope(t, body)
+			if e.Code != tc.code || !strings.Contains(e.Detail, tc.detail) {
+				t.Fatalf("error = %+v, want code %q with detail containing %q", e, tc.code, tc.detail)
+			}
+		})
 	}
 }
 

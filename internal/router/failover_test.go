@@ -305,8 +305,8 @@ func TestMidStreamTruncationNeverSilent(t *testing.T) {
 		}
 		var body struct {
 			Error struct {
-				Code    string `json:"code"`
-				Message string `json:"message"`
+				Code   string `json:"code"`
+				Detail string `json:"detail"`
 			} `json:"error"`
 		}
 		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
@@ -315,8 +315,8 @@ func TestMidStreamTruncationNeverSilent(t *testing.T) {
 		if body.Error.Code != "shard_error" {
 			t.Errorf("error code %q, want shard_error", body.Error.Code)
 		}
-		if !strings.Contains(body.Error.Message, "without a trailer") {
-			t.Errorf("error message %q does not name the truncation", body.Error.Message)
+		if !strings.Contains(body.Error.Detail, "without a trailer") {
+			t.Errorf("error detail %q does not name the truncation", body.Error.Detail)
 		}
 	})
 }

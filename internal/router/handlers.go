@@ -76,28 +76,28 @@ type streamTrailerLine struct {
 
 // readBody buffers a POST body for replay to every shard. GET requests
 // return nil.
-func readBody(r *http.Request) ([]byte, *httpError) {
+func readBody(r *http.Request) ([]byte, *api.Error) {
 	if r.Body == nil || r.Method == http.MethodGet {
 		return nil, nil
 	}
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
 	if err != nil {
-		return nil, &httpError{status: http.StatusBadRequest, code: api.CodeBadBody,
-			message: fmt.Sprintf("reading request body: %v", err)}
+		return nil, &api.Error{Status: http.StatusBadRequest, Code: api.CodeBadBody,
+			Detail: fmt.Sprintf("reading request body: %v", err)}
 	}
 	if len(body) > maxBodyBytes {
-		return nil, &httpError{status: http.StatusRequestEntityTooLarge, code: api.CodeBodyTooLarge,
-			message: fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes)}
+		return nil, &api.Error{Status: http.StatusRequestEntityTooLarge, Code: api.CodeBodyTooLarge,
+			Detail: fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes)}
 	}
 	return body, nil
 }
 
-func checkMethod(r *http.Request) *httpError {
+func checkMethod(r *http.Request) *api.Error {
 	if r.Method == http.MethodGet || r.Method == http.MethodPost {
 		return nil
 	}
-	return &httpError{status: http.StatusMethodNotAllowed, code: api.CodeMethodNotAllowed,
-		message: "use GET with query parameters or POST with a JSON body"}
+	return &api.Error{Status: http.StatusMethodNotAllowed, Code: api.CodeMethodNotAllowed,
+		Detail: "use GET with query parameters or POST with a JSON body"}
 }
 
 // gather runs the full scatter-gather-merge for one request, mapping
@@ -105,12 +105,12 @@ func checkMethod(r *http.Request) *httpError {
 func (rt *Router) gather(w http.ResponseWriter, r *http.Request) ([]*shardResult, []*wireAnswer, bool) {
 	if herr := checkMethod(r); herr != nil {
 		w.Header().Set("Allow", "GET, POST")
-		writeError(w, herr)
+		api.WriteError(w, herr)
 		return nil, nil, false
 	}
 	body, herr := readBody(r)
 	if herr != nil {
-		writeError(w, herr)
+		api.WriteError(w, herr)
 		return nil, nil, false
 	}
 	start := time.Now()
@@ -121,7 +121,7 @@ func (rt *Router) gather(w http.ResponseWriter, r *http.Request) ([]*shardResult
 		// shard-side 4xx (bad query, over capacity) passes its status
 		// through; infrastructure failures map to 502.
 		rt.met.observeQuery(outcomeError, 0)
-		writeError(w, mapShardError(err))
+		api.WriteError(w, mapShardError(err))
 		return nil, nil, false
 	}
 	merged := mergeResults(results)
@@ -146,20 +146,16 @@ func anyTruncated(results []*shardResult) bool {
 // A shard's own 4xx (malformed query, over capacity) is the client's
 // fault on every shard equally — its status and code pass through; any
 // other failure is the deployment's and maps to 502.
-func mapShardError(err error) *httpError {
+func mapShardError(err error) *api.Error {
 	var she *shardHTTPError
 	if errors.As(err, &she) && she.status >= 400 && she.status < 500 {
 		code := she.code
 		if code == "" {
 			code = api.CodeShardRejected
 		}
-		return &httpError{status: she.status, code: code, message: err.Error()}
+		return &api.Error{Status: she.status, Code: code, Detail: err.Error()}
 	}
-	return &httpError{
-		status:  http.StatusBadGateway,
-		code:    api.CodeShardError,
-		message: err.Error(),
-	}
+	return &api.Error{Status: http.StatusBadGateway, Code: api.CodeShardError, Detail: err.Error()}
 }
 
 func (rt *Router) handleSearch(w http.ResponseWriter, r *http.Request) {
@@ -181,8 +177,8 @@ func (rt *Router) handleSearch(w http.ResponseWriter, r *http.Request) {
 		Answers:   answers,
 		Stats:     routedStats{statsJSON: agg.stats, Shards: len(results), Failovers: agg.failovers, MaxReplicaLag: agg.maxReplicaLag},
 	}
-	annotate(r, resp.QueryID, len(answers), resp.Truncated)
-	writeJSON(w, resp)
+	api.Annotate(r, resp.QueryID, len(answers), resp.Truncated)
+	api.WriteJSON(w, resp)
 }
 
 // handleSearchStream serves the routed query as NDJSON in the shard wire
@@ -228,7 +224,7 @@ func (rt *Router) handleSearchStream(w http.ResponseWriter, r *http.Request) {
 		trailer.FirstAnswerMS = &first
 	}
 	_ = enc.Encode(trailer)
-	annotate(r, agg.queryID, len(merged), agg.truncated)
+	api.Annotate(r, agg.queryID, len(merged), agg.truncated)
 }
 
 // maxRoutedBatch bounds a routed batch's fan-out amplification: each
@@ -256,7 +252,7 @@ type routedBatchParams struct {
 // disclosed on each element, as resolved by the shards.
 type routedBatchResponse struct {
 	Results []*searchResponse `json:"results"`
-	Errors  []*errorJSON      `json:"errors"`
+	Errors  []*api.Error      `json:"errors"`
 }
 
 // handleBatch serves a routed batch by fanning each element through the
@@ -271,36 +267,34 @@ type routedBatchResponse struct {
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, &httpError{status: http.StatusMethodNotAllowed,
-			code: api.CodeMethodNotAllowed, message: "batch requests are POST with a JSON body"})
+		api.WriteError(w, &api.Error{Status: http.StatusMethodNotAllowed,
+			Code: api.CodeMethodNotAllowed, Detail: "batch requests are POST with a JSON body"})
 		return
 	}
 	body, herr := readBody(r)
 	if herr != nil {
-		writeError(w, herr)
+		api.WriteError(w, herr)
 		return
 	}
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	var p routedBatchParams
 	if err := dec.Decode(&p); err != nil {
-		writeError(w, &httpError{status: http.StatusBadRequest, code: api.CodeBadBody,
-			message: fmt.Sprintf("decoding batch body: %v", err)})
+		api.WriteError(w, &api.Error{Status: http.StatusBadRequest, Code: api.CodeBadBody,
+			Detail: fmt.Sprintf("decoding batch body: %v", err)})
 		return
 	}
 	if len(p.Queries) == 0 {
-		writeError(w, &httpError{status: http.StatusBadRequest, code: api.CodeBadRequest,
-			message: "batch contains no queries"})
+		api.WriteError(w, api.BadRequest("", "batch contains no queries"))
 		return
 	}
 	if len(p.Queries) > maxRoutedBatch {
-		writeError(w, &httpError{status: http.StatusBadRequest, code: api.CodeBatchTooLarge,
-			message: fmt.Sprintf("batch of %d queries exceeds the router limit %d", len(p.Queries), maxRoutedBatch)})
+		api.WriteError(w, &api.Error{Status: http.StatusBadRequest, Code: api.CodeBatchTooLarge,
+			Detail: fmt.Sprintf("batch of %d queries exceeds the router limit %d", len(p.Queries), maxRoutedBatch)})
 		return
 	}
 	if p.TimeoutMS < 0 {
-		writeError(w, &httpError{status: http.StatusBadRequest, code: api.CodeBadRequest,
-			message: fmt.Sprintf("timeout must be non-negative, got %d", p.TimeoutMS)})
+		api.WriteError(w, api.BadRequest("", "timeout must be non-negative, got %d", p.TimeoutMS))
 		return
 	}
 	bodies := make([][]byte, len(p.Queries))
@@ -309,13 +303,11 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		edec.UseNumber() // preserve numeric literals bit-for-bit through the rewrite
 		var m map[string]any
 		if err := edec.Decode(&m); err != nil {
-			writeError(w, &httpError{status: http.StatusBadRequest, code: api.CodeBadRequest,
-				message: fmt.Sprintf("queries[%d]: %v", i, err)})
+			api.WriteError(w, api.BadRequest("", "queries[%d]: %v", i, err))
 			return
 		}
 		if _, ok := m["timeout_ms"]; ok {
-			writeError(w, &httpError{status: http.StatusBadRequest, code: api.CodeBadRequest,
-				message: fmt.Sprintf("queries[%d].timeout_ms: timeout_ms is per batch: set it at the top level", i)})
+			api.WriteError(w, api.BadRequest("", "queries[%d].timeout_ms: timeout_ms is per batch: set it at the top level", i))
 			return
 		}
 		if p.TimeoutMS > 0 {
@@ -323,8 +315,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		b, err := json.Marshal(m)
 		if err != nil {
-			writeError(w, &httpError{status: http.StatusBadRequest, code: api.CodeBadRequest,
-				message: fmt.Sprintf("queries[%d]: %v", i, err)})
+			api.WriteError(w, api.BadRequest("", "queries[%d]: %v", i, err))
 			return
 		}
 		bodies[i] = b
@@ -332,7 +323,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	resp := routedBatchResponse{
 		Results: make([]*searchResponse, len(bodies)),
-		Errors:  make([]*errorJSON, len(bodies)),
+		Errors:  make([]*api.Error, len(bodies)),
 	}
 	sem := make(chan struct{}, routedBatchParallel)
 	var wg sync.WaitGroup
@@ -350,9 +341,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 			results, err := rt.scatter(elem, bodies[i])
 			if err != nil {
 				rt.met.observeQuery(outcomeError, 0)
-				he := mapShardError(err)
-				detail := api.NewErrorDetail(he.status, he.code, "", he.message)
-				resp.Errors[i] = &detail
+				resp.Errors[i] = mapShardError(err)
 				return
 			}
 			merged := mergeResults(results)
@@ -386,30 +375,16 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 			truncated = truncated || res.Truncated
 		}
 	}
-	annotate(r, "batch", answers, truncated)
-	writeJSON(w, &resp)
+	api.Annotate(r, "batch", answers, truncated)
+	api.WriteJSON(w, &resp)
 }
 
 // handleUnsupported rejects an endpoint the router cannot serve
 // correctly, explaining why.
 func (rt *Router) handleUnsupported(reason string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		writeError(w, &httpError{
-			status:  http.StatusNotImplemented,
-			code:    api.CodeNotRouted,
-			message: reason,
-		})
+		api.WriteError(w, &api.Error{Status: http.StatusNotImplemented, Code: api.CodeNotRouted, Detail: reason})
 	}
-}
-
-func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if rt.draining.Load() {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		w.Write([]byte("draining\n"))
-		return
-	}
-	w.Write([]byte("ok\n"))
 }
 
 // replicaStatusJSON is one replica row of the /statusz routing table.
@@ -540,7 +515,7 @@ func (rt *Router) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	resp.Runtime.GoVersion = runtime.Version()
 	resp.Runtime.Goroutines = runtime.NumGoroutine()
 	resp.Runtime.GOMAXPROCS = runtime.GOMAXPROCS(0)
-	writeJSON(w, resp)
+	api.WriteJSON(w, resp)
 }
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -559,18 +534,11 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			rg.inflight[i][j] = rep.inflight.Load()
 		}
 	}
-	rt.met.write(w, []gauge{
-		{"banksrouter_shards", "Configured fan-out width.", float64(len(rt.groups))},
-		{"banksrouter_replicas", "Total backend replicas across all shards.", float64(len(rt.replicas))},
-		{"banksrouter_draining", "1 once graceful drain has begun.", boolGauge(rt.draining.Load())},
-		{"banksrouter_uptime_seconds", "Seconds since the router started.", time.Since(rt.start).Seconds()},
-		{"go_goroutines", "Number of goroutines.", float64(runtime.NumGoroutine())},
+	rt.met.write(w, []api.Gauge{
+		{Name: "banksrouter_shards", Help: "Configured fan-out width.", Value: float64(len(rt.groups))},
+		{Name: "banksrouter_replicas", Help: "Total backend replicas across all shards.", Value: float64(len(rt.replicas))},
+		{Name: "banksrouter_draining", Help: "1 once graceful drain has begun.", Value: api.BoolGauge(rt.draining.Load())},
+		{Name: "banksrouter_uptime_seconds", Help: "Seconds since the router started.", Value: time.Since(rt.start).Seconds()},
+		{Name: "go_goroutines", Help: "Number of goroutines.", Value: float64(runtime.NumGoroutine())},
 	}, rg)
-}
-
-func boolGauge(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }

@@ -3,26 +3,24 @@ package router
 import (
 	"fmt"
 	"io"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
+
+	"banks/internal/api"
 )
 
-// metrics is the router's stdlib-only Prometheus-text exporter,
-// following the internal/server idiom: deterministic ordering (sorted
-// label keys, fixed shard/replica indexes) so scrapes are testable by
-// string comparison. Per-replica series are arrays indexed by shard and
-// replica position — the label space is fixed at construction, never
-// minted per request.
+// metrics is the router's Prometheus-text exporter (helpers in
+// internal/api): deterministic ordering (sorted label keys, fixed
+// shard/replica indexes) so scrapes are testable by string comparison.
+// Per-replica series are arrays indexed by shard and replica position —
+// the label space is fixed at construction, never minted per request.
 type metrics struct {
-	mu sync.Mutex
-	// requests["path|code"], queries[outcome].
-	requests map[string]uint64
-	queries  map[string]uint64
-	qSecSum  float64
-	qCount   uint64
+	requests api.CounterVec // path, code — fed by api.Instrument
+	queries  api.CounterVec // outcome
+
+	mu      sync.Mutex
+	qSecSum float64
+	qCount  uint64
 	// Per-replica attempt outcomes and latency, [shard][replica].
 	// Latency sums cover successful fetches only: a failed fetch's
 	// duration measures the failure mode, not the replica's service
@@ -41,8 +39,6 @@ type metrics struct {
 
 func newMetrics(groups []*shardGroup) *metrics {
 	m := &metrics{
-		requests:    make(map[string]uint64),
-		queries:     make(map[string]uint64),
 		repOK:       make([][]uint64, len(groups)),
 		repErr:      make([][]uint64, len(groups)),
 		repCanceled: make([][]uint64, len(groups)),
@@ -57,12 +53,6 @@ func newMetrics(groups []*shardGroup) *metrics {
 		m.repSecSum[i] = make([]float64, n)
 	}
 	return m
-}
-
-func (m *metrics) observeRequest(path string, code int) {
-	m.mu.Lock()
-	m.requests[path+"|"+strconv.Itoa(code)]++
-	m.mu.Unlock()
 }
 
 // Routed-query outcomes.
@@ -82,12 +72,13 @@ const (
 // observeQuery counts one routed query; the latency pair covers the full
 // scatter-gather-merge wall time of queries that produced a result.
 func (m *metrics) observeQuery(outcome string, elapsed time.Duration) {
-	m.mu.Lock()
-	m.queries[outcome]++
-	if outcome != outcomeError {
-		m.qSecSum += elapsed.Seconds()
-		m.qCount++
+	m.queries.Inc(outcome)
+	if outcome == outcomeError {
+		return
 	}
+	m.mu.Lock()
+	m.qSecSum += elapsed.Seconds()
+	m.qCount++
 	m.mu.Unlock()
 }
 
@@ -138,12 +129,6 @@ func (m *metrics) shardFailovers(shard int) uint64 {
 	return m.failovers[shard]
 }
 
-// gauge is one instantaneous value appended at scrape time.
-type gauge struct {
-	name, help string
-	value      float64
-}
-
 // replicaGauges are the per-replica instantaneous values sampled by the
 // scrape handler, [shard][replica].
 type replicaGauges struct {
@@ -151,16 +136,8 @@ type replicaGauges struct {
 	inflight [][]int64
 }
 
-func (m *metrics) write(w io.Writer, gauges []gauge, rg replicaGauges) {
+func (m *metrics) write(w io.Writer, gauges []api.Gauge, rg replicaGauges) {
 	m.mu.Lock()
-	requests := make(map[string]uint64, len(m.requests))
-	for k, v := range m.requests {
-		requests[k] = v
-	}
-	queries := make(map[string]uint64, len(m.queries))
-	for k, v := range m.queries {
-		queries[k] = v
-	}
 	qSecSum, qCount := m.qSecSum, m.qCount
 	repOK := copy2D(m.repOK)
 	repErr := copy2D(m.repErr)
@@ -170,23 +147,9 @@ func (m *metrics) write(w io.Writer, gauges []gauge, rg replicaGauges) {
 	hedges := m.hedges
 	m.mu.Unlock()
 
-	fmt.Fprintln(w, "# HELP banksrouter_http_requests_total HTTP requests served, by path and status code.")
-	fmt.Fprintln(w, "# TYPE banksrouter_http_requests_total counter")
-	for _, k := range sortedKeys(requests) {
-		path, code, _ := strings.Cut(k, "|")
-		fmt.Fprintf(w, "banksrouter_http_requests_total{path=%q,code=%q} %d\n", path, code, requests[k])
-	}
-
-	fmt.Fprintln(w, "# HELP banksrouter_queries_total Routed search queries, by outcome (ok, truncated, error).")
-	fmt.Fprintln(w, "# TYPE banksrouter_queries_total counter")
-	for _, k := range sortedKeys(queries) {
-		fmt.Fprintf(w, "banksrouter_queries_total{outcome=%q} %d\n", k, queries[k])
-	}
-
-	fmt.Fprintln(w, "# HELP banksrouter_query_duration_seconds Scatter-gather-merge wall time of routed queries that produced a result.")
-	fmt.Fprintln(w, "# TYPE banksrouter_query_duration_seconds summary")
-	fmt.Fprintf(w, "banksrouter_query_duration_seconds_sum %s\n", formatFloat(qSecSum))
-	fmt.Fprintf(w, "banksrouter_query_duration_seconds_count %d\n", qCount)
+	api.WriteRequests(w, "banksrouter", &m.requests)
+	m.queries.Write(w, "banksrouter_queries_total", "Routed search queries, by outcome (ok, truncated, error).", "outcome")
+	api.WriteSummary(w, "banksrouter_query_duration_seconds", "Scatter-gather-merge wall time of routed queries that produced a result.", qSecSum, qCount)
 
 	fmt.Fprintln(w, "# HELP banksrouter_shard_requests_total Fan-out attempts per replica, by outcome (ok, error, canceled).")
 	fmt.Fprintln(w, "# TYPE banksrouter_shard_requests_total counter")
@@ -202,7 +165,7 @@ func (m *metrics) write(w io.Writer, gauges []gauge, rg replicaGauges) {
 	fmt.Fprintln(w, "# TYPE banksrouter_shard_latency_seconds summary")
 	for i := range repOK {
 		for j := range repOK[i] {
-			fmt.Fprintf(w, "banksrouter_shard_latency_seconds_sum{shard=\"%d\",replica=\"%d\"} %s\n", i, j, formatFloat(repSecSum[i][j]))
+			fmt.Fprintf(w, "banksrouter_shard_latency_seconds_sum{shard=\"%d\",replica=\"%d\"} %s\n", i, j, api.FormatFloat(repSecSum[i][j]))
 			fmt.Fprintf(w, "banksrouter_shard_latency_seconds_count{shard=\"%d\",replica=\"%d\"} %d\n", i, j, repOK[i][j])
 		}
 	}
@@ -213,9 +176,7 @@ func (m *metrics) write(w io.Writer, gauges []gauge, rg replicaGauges) {
 		fmt.Fprintf(w, "banksrouter_failovers_total{shard=\"%d\"} %d\n", i, v)
 	}
 
-	fmt.Fprintln(w, "# HELP banksrouter_hedges_total Hedge attempts launched against slow replicas.")
-	fmt.Fprintln(w, "# TYPE banksrouter_hedges_total counter")
-	fmt.Fprintf(w, "banksrouter_hedges_total %d\n", hedges)
+	api.WriteCounters(w, api.Counter{Name: "banksrouter_hedges_total", Help: "Hedge attempts launched against slow replicas.", Value: hedges})
 
 	fmt.Fprintln(w, "# HELP banksrouter_shard_healthy 1 when at least one replica of the shard is healthy.")
 	fmt.Fprintln(w, "# TYPE banksrouter_shard_healthy gauge")
@@ -224,14 +185,14 @@ func (m *metrics) write(w io.Writer, gauges []gauge, rg replicaGauges) {
 		for _, h := range rg.healthy[i] {
 			any = any || h
 		}
-		fmt.Fprintf(w, "banksrouter_shard_healthy{shard=\"%d\"} %s\n", i, formatFloat(boolGauge(any)))
+		fmt.Fprintf(w, "banksrouter_shard_healthy{shard=\"%d\"} %s\n", i, api.FormatFloat(api.BoolGauge(any)))
 	}
 
 	fmt.Fprintln(w, "# HELP banksrouter_replica_healthy 1 when the replica's last probe or query succeeded.")
 	fmt.Fprintln(w, "# TYPE banksrouter_replica_healthy gauge")
 	for i := range rg.healthy {
 		for j, h := range rg.healthy[i] {
-			fmt.Fprintf(w, "banksrouter_replica_healthy{shard=\"%d\",replica=\"%d\"} %s\n", i, j, formatFloat(boolGauge(h)))
+			fmt.Fprintf(w, "banksrouter_replica_healthy{shard=\"%d\",replica=\"%d\"} %s\n", i, j, api.FormatFloat(api.BoolGauge(h)))
 		}
 	}
 
@@ -243,9 +204,7 @@ func (m *metrics) write(w io.Writer, gauges []gauge, rg replicaGauges) {
 		}
 	}
 
-	for _, g := range gauges {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %s\n", g.name, g.help, g.name, g.name, formatFloat(g.value))
-	}
+	api.WriteGauges(w, gauges...)
 }
 
 func copy2D[T uint64 | float64](src [][]T) [][]T {
@@ -254,15 +213,4 @@ func copy2D[T uint64 | float64](src [][]T) [][]T {
 		out[i] = append([]T(nil), row...)
 	}
 	return out
-}
-
-func formatFloat(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
-
-func sortedKeys(m map[string]uint64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -59,6 +59,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"banks/internal/api"
 )
 
 // Config assembles a Router. Shards is required; everything else has
@@ -191,8 +193,7 @@ type Router struct {
 
 	start    time.Time
 	draining atomic.Bool
-	reqSeq   atomic.Uint64
-	mux      *http.ServeMux
+	handler  http.Handler
 
 	probeEvery  time.Duration
 	probeCancel context.CancelFunc
@@ -267,10 +268,10 @@ func New(cfg Config) (*Router, error) {
 	mux.HandleFunc("/v1/batch", rt.handleBatch)
 	mux.HandleFunc("/v1/explain", rt.handleUnsupported(
 		"explain rendering is not routed; query a shard directly"))
-	mux.HandleFunc("/healthz", rt.handleHealthz)
+	mux.HandleFunc("/healthz", api.Healthz(&rt.draining))
 	mux.HandleFunc("/statusz", rt.handleStatusz)
 	mux.HandleFunc("/metrics", rt.handleMetrics)
-	rt.mux = mux
+	rt.handler = api.Instrument(mux, cfg.Logger, &rt.met.requests)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	rt.probeCancel = cancel
@@ -282,7 +283,7 @@ func New(cfg Config) (*Router, error) {
 // Handler returns the router's HTTP handler: the route mux wrapped in the
 // instrumentation middleware (request IDs, logging, metrics, panic
 // containment).
-func (rt *Router) Handler() http.Handler { return rt.instrument(rt.mux) }
+func (rt *Router) Handler() http.Handler { return rt.handler }
 
 // BeginDrain flips the router into draining mode: /healthz starts
 // answering 503 so load balancers stop routing here, while fan-outs in

@@ -112,13 +112,13 @@ func deploy(t *testing.T) *deployment {
 		return db
 	}
 	d := &deployment{single: newBackend(t, open(base), "single")}
-	urls := make([]string, nshards)
+	topology := make([][]string, nshards)
 	for s := 0; s < nshards; s++ {
 		ts := newBackend(t, open(shard.FilePath(base, s, nshards)), fmt.Sprintf("shard %d", s))
 		d.shards = append(d.shards, ts)
-		urls[s] = ts.URL
+		topology[s] = []string{ts.URL}
 	}
-	rt, err := router.New(router.Config{Shards: router.SingleReplicaTopology(urls), ProbeInterval: -1})
+	rt, err := router.New(router.Config{Shards: topology, ProbeInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,8 +411,8 @@ func TestRouterShardFailure(t *testing.T) {
 	}
 	var body struct {
 		Error struct {
-			Code    string `json:"code"`
-			Message string `json:"message"`
+			Code   string `json:"code"`
+			Detail string `json:"detail"`
 		} `json:"error"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
@@ -421,8 +421,8 @@ func TestRouterShardFailure(t *testing.T) {
 	if body.Error.Code != "shard_error" {
 		t.Errorf("error code %q, want shard_error", body.Error.Code)
 	}
-	if !strings.Contains(body.Error.Message, "shard 1") {
-		t.Errorf("error message %q does not name the failed shard", body.Error.Message)
+	if !strings.Contains(body.Error.Detail, "shard 1") {
+		t.Errorf("error detail %q does not name the failed shard", body.Error.Detail)
 	}
 	doc := waitStatusz(t, d.router.URL, func(doc map[string]any) bool {
 		return doc["all_healthy"] == false
@@ -534,8 +534,7 @@ func TestRouterPOSTBody(t *testing.T) {
 type batchBody struct {
 	Results []*searchBody `json:"results"`
 	Errors  []*struct {
-		Status int    `json:"status"`
-		Code   string `json:"code"`
+		Code string `json:"code"`
 	} `json:"errors"`
 }
 
@@ -601,8 +600,8 @@ func TestRouterBatchDifferential(t *testing.T) {
 	if body.Results[2] != nil {
 		t.Error("invalid element produced a result")
 	}
-	if body.Errors[2] == nil || body.Errors[2].Status != http.StatusBadRequest {
-		t.Errorf("invalid element error: %+v, want status 400", body.Errors[2])
+	if body.Errors[2] == nil || body.Errors[2].Code != "bad_request" {
+		t.Errorf("invalid element error: %+v, want the shard's bad_request", body.Errors[2])
 	}
 }
 

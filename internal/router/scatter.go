@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"banks"
+	"banks/internal/api"
 )
 
 // statsJSON mirrors the shard server's wire stats (internal/server
@@ -369,15 +370,10 @@ func (e *shardHTTPError) Error() string {
 func decodeShardHTTPError(resp *http.Response) error {
 	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 	herr := &shardHTTPError{status: resp.StatusCode}
-	var body struct {
-		Error struct {
-			Code    string `json:"code"`
-			Message string `json:"message"`
-		} `json:"error"`
-	}
-	if json.Unmarshal(raw, &body) == nil && body.Error.Message != "" {
+	var body api.ErrorEnvelope
+	if json.Unmarshal(raw, &body) == nil && body.Error.Detail != "" {
 		herr.code = body.Error.Code
-		herr.message = body.Error.Message
+		herr.message = body.Error.Detail
 	}
 	return herr
 }

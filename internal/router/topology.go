@@ -8,26 +8,15 @@ import (
 	"strings"
 )
 
-// Topology construction for cmd/banksrouter. Three sources produce the
+// Topology construction for cmd/banksrouter. Two sources produce the
 // same Config.Shards shape ([][]string — replica URLs per shard):
 //
-//	-shards url0,url1,url2            one replica per shard, in shard order
 //	-shard 0=urlA,urlB -shard 1=urlC  repeatable, explicit shard index,
 //	                                  comma-separated replica URLs
 //	-topology file.json               {"shards": [["urlA","urlB"], ["urlC"]]}
 //
 // URL validation (scheme, duplicates) happens once, in New; these
 // helpers only establish the shard→replicas shape.
-
-// SingleReplicaTopology wraps a flat shard URL list (one backend per
-// shard, the pre-replica deployment style) into the replica-set shape.
-func SingleReplicaTopology(urls []string) [][]string {
-	shards := make([][]string, len(urls))
-	for i, u := range urls {
-		shards[i] = []string{u}
-	}
-	return shards
-}
 
 // ParseShardSpecs builds a topology from repeated "-shard i=url1,url2"
 // flag values. Every shard index 0..N-1 must appear exactly once, where

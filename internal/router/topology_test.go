@@ -8,14 +8,6 @@ import (
 	"testing"
 )
 
-func TestSingleReplicaTopology(t *testing.T) {
-	got := SingleReplicaTopology([]string{"http://a", "http://b"})
-	want := [][]string{{"http://a"}, {"http://b"}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-}
-
 func TestParseShardSpecs(t *testing.T) {
 	got, err := ParseShardSpecs([]string{
 		"1=http://c",

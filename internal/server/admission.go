@@ -1,11 +1,46 @@
 package server
 
 import (
+	"fmt"
 	"math"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"banks/internal/api"
 )
+
+// admitted wraps a query handler with the admission gates: the global
+// in-flight bound first, then the tenant's own quota (when its limits
+// configure one). At capacity the request is rejected immediately with
+// 429 and a Retry-After estimate instead of queueing without bound; the
+// error code says which gate refused. The slot — global and tenant —
+// is held until the handler returns, so a streaming response counts
+// against both gates for its entire lifetime.
+func (s *Server) admitted(next http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		tenant := r.Header.Get("X-Tenant")
+		quota := s.tenants.Resolve(tenant).MaxInFlight
+		token, ok, byTenant := s.adm.tryAcquire(tenant, quota, s.tenants.Configured(tenant))
+		if !ok {
+			herr := &api.Error{
+				Status:     http.StatusTooManyRequests,
+				Code:       api.CodeOverCapacity,
+				Detail:     fmt.Sprintf("server is at its in-flight limit (%d); retry after the indicated delay", s.adm.limit),
+				RetryAfter: s.adm.retryAfterSeconds(),
+			}
+			if byTenant {
+				herr.Code = api.CodeTenantOverCapacity
+				herr.Detail = fmt.Sprintf("tenant is at its in-flight limit (%d); retry after the indicated delay", quota)
+			}
+			api.WriteError(w, herr)
+			return
+		}
+		defer func() { s.adm.release(tenant, quota, token) }()
+		next(w, r)
+	}
+}
 
 // admission is the bounded in-flight gate in front of the query
 // endpoints. It admits at most limit requests simultaneously; the

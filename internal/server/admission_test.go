@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"banks"
+	"banks/internal/api"
 )
 
 // pinnedRequest is one in-flight request the test holds open
@@ -115,7 +116,7 @@ func TestAdmissionOverflow(t *testing.T) {
 			if secs, err := strconv.Atoi(ra); err != nil || secs < 1 {
 				t.Fatalf("bad Retry-After %q", ra)
 			}
-			var eb errorBody
+			var eb api.ErrorEnvelope
 			if err := json.Unmarshal(body, &eb); err != nil || eb.Error.Code != "over_capacity" {
 				t.Fatalf("bad 429 body: %s", body)
 			}

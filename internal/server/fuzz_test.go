@@ -62,10 +62,10 @@ func FuzzDecodeSearchRequest(f *testing.F) {
 			if req != nil {
 				t.Fatal("decoder returned both a request and an error")
 			}
-			if herr.status < 400 || herr.status > 499 {
-				t.Fatalf("decode failure with non-4xx status %d (%s)", herr.status, herr.message)
+			if herr.Status < 400 || herr.Status > 499 {
+				t.Fatalf("decode failure with non-4xx status %d (%s)", herr.Status, herr.Detail)
 			}
-			if herr.message == "" || herr.code == "" {
+			if herr.Detail == "" || herr.Code == "" {
 				t.Fatalf("error without message/code: %+v", herr)
 			}
 			return
@@ -135,8 +135,8 @@ func FuzzDecodeStreamRequest(f *testing.F) {
 			if req != nil {
 				t.Fatal("decoder returned both a request and an error")
 			}
-			if herr.status < 400 || herr.status > 499 {
-				t.Fatalf("decode failure with non-4xx status %d (%s)", herr.status, herr.message)
+			if herr.Status < 400 || herr.Status > 499 {
+				t.Fatalf("decode failure with non-4xx status %d (%s)", herr.Status, herr.Detail)
 			}
 			return
 		}
@@ -176,8 +176,8 @@ func FuzzDecodeBatchRequest(f *testing.F) {
 		r := httptest.NewRequest(http.MethodPost, "/v1/batch", strings.NewReader(data))
 		reqs, timeout, _, herr := decodeBatchRequest(r, lim)
 		if herr != nil {
-			if herr.status < 400 || herr.status > 499 {
-				t.Fatalf("decode failure with non-4xx status %d", herr.status)
+			if herr.Status < 400 || herr.Status > 499 {
+				t.Fatalf("decode failure with non-4xx status %d", herr.Status)
 			}
 			return
 		}
@@ -238,10 +238,10 @@ func FuzzDecodeMutateRequest(f *testing.F) {
 			if ops != nil {
 				t.Fatal("decoder returned both ops and an error")
 			}
-			if herr.status < 400 || herr.status > 499 {
-				t.Fatalf("decode failure with non-4xx status %d (%s)", herr.status, herr.message)
+			if herr.Status < 400 || herr.Status > 499 {
+				t.Fatalf("decode failure with non-4xx status %d (%s)", herr.Status, herr.Detail)
 			}
-			if herr.message == "" || herr.code == "" {
+			if herr.Detail == "" || herr.Code == "" {
 				t.Fatalf("error without message/code: %+v", herr)
 			}
 			return

@@ -136,15 +136,6 @@ func (s *Server) searchResponse(req *searchRequest, res *banks.Result) *searchRe
 	}
 }
 
-// annotate fills the request-log record for the middleware.
-func annotate(r *http.Request, queryID string, answers int, truncated bool) {
-	if info := infoFrom(r.Context()); info != nil {
-		info.queryID = queryID
-		info.answers = answers
-		info.truncated = truncated
-	}
-}
-
 // limits resolves the request's tenant header to its serving limits.
 func (s *Server) limits(r *http.Request) TenantLimits {
 	return s.tenants.Resolve(r.Header.Get("X-Tenant"))
@@ -163,7 +154,7 @@ func queryCtx(r *http.Request, timeout time.Duration) (context.Context, context.
 // time (Stats.Duration), the one definition every query path shares;
 // errored queries have no execution time and contribute only to the
 // outcome counter.
-func (s *Server) runSearch(ctx context.Context, req *searchRequest) (*banks.Result, *httpError) {
+func (s *Server) runSearch(ctx context.Context, req *searchRequest) (*banks.Result, *api.Error) {
 	res, err := s.eng.Search(ctx, req.Query, req.Algo, req.Opts)
 	if err != nil {
 		s.met.observeQuery(string(req.Algo), outcomeError, 0)
@@ -180,20 +171,20 @@ func (s *Server) runSearch(ctx context.Context, req *searchRequest) (*banks.Resu
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	req, herr := decodeSearchRequest(r, s.limits(r))
 	if herr != nil {
-		s.writeError(w, herr)
+		api.WriteError(w, herr)
 		return
 	}
 	ctx, cancel := queryCtx(r, req.Timeout)
 	defer cancel()
 	res, herr := s.runSearch(ctx, req)
 	if herr != nil {
-		annotate(r, req.queryID(), 0, false)
-		s.writeError(w, herr)
+		api.Annotate(r, req.queryID(), 0, false)
+		api.WriteError(w, herr)
 		return
 	}
 	resp := s.searchResponse(req, res)
-	annotate(r, resp.QueryID, len(resp.Answers), resp.Truncated)
-	writeJSON(w, resp)
+	api.Annotate(r, resp.QueryID, len(resp.Answers), resp.Truncated)
+	api.WriteJSON(w, resp)
 }
 
 // explainResponse is the /v1/explain body: the same search, rendered the
@@ -209,23 +200,23 @@ type explainResponse struct {
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	req, herr := decodeSearchRequest(r, s.limits(r))
 	if herr != nil {
-		s.writeError(w, herr)
+		api.WriteError(w, herr)
 		return
 	}
 	ctx, cancel := queryCtx(r, req.Timeout)
 	defer cancel()
 	res, herr := s.runSearch(ctx, req)
 	if herr != nil {
-		annotate(r, req.queryID(), 0, false)
-		s.writeError(w, herr)
+		api.Annotate(r, req.queryID(), 0, false)
+		api.WriteError(w, herr)
 		return
 	}
 	explains := make([]string, len(res.Answers))
 	for i, a := range res.Answers {
 		explains[i] = s.explain(a)
 	}
-	annotate(r, req.queryID(), len(explains), res.Stats.Truncated)
-	writeJSON(w, explainResponse{
+	api.Annotate(r, req.queryID(), len(explains), res.Stats.Truncated)
+	api.WriteJSON(w, explainResponse{
 		QueryID:   req.queryID(),
 		Algo:      string(req.Algo),
 		Clamped:   req.Clamped,
@@ -253,7 +244,7 @@ type nearResponse struct {
 func (s *Server) handleNear(w http.ResponseWriter, r *http.Request) {
 	p, herr := decodeSearchParams(r)
 	if herr != nil {
-		s.writeError(w, herr)
+		api.WriteError(w, herr)
 		return
 	}
 	// Near queries have no algorithm choice, no output-bound mode, and
@@ -261,20 +252,20 @@ func (s *Server) handleNear(w http.ResponseWriter, r *http.Request) {
 	// and ignoring any of these would be the silent mismatch the strict
 	// decoding exists to prevent.
 	if p.Algo != "" {
-		s.writeError(w, badRequest("algo", "near queries have no algorithm choice"))
+		api.WriteError(w, api.BadRequest("algo", "near queries have no algorithm choice"))
 		return
 	}
 	if p.StrictBound {
-		s.writeError(w, badRequest("strict_bound", "near queries have no output bound mode"))
+		api.WriteError(w, api.BadRequest("strict_bound", "near queries have no output bound mode"))
 		return
 	}
 	if p.ActivationSum {
-		s.writeError(w, badRequest("activation_sum", "near queries always sum activations; the flag is not configurable"))
+		api.WriteError(w, api.BadRequest("activation_sum", "near queries always sum activations; the flag is not configurable"))
 		return
 	}
 	req, herr := p.resolve(s.limits(r))
 	if herr != nil {
-		s.writeError(w, herr)
+		api.WriteError(w, herr)
 		return
 	}
 	// Discriminate the stable query ID from a tree search over the same
@@ -285,8 +276,8 @@ func (s *Server) handleNear(w http.ResponseWriter, r *http.Request) {
 	res, stats, err := s.eng.Near(ctx, req.Query, req.Opts)
 	if err != nil {
 		s.met.observeQuery("near", outcomeError, 0)
-		annotate(r, req.queryID(), 0, false)
-		s.writeError(w, mapQueryError(err))
+		api.Annotate(r, req.queryID(), 0, false)
+		api.WriteError(w, mapQueryError(err))
 		return
 	}
 	outcome := outcomeOK
@@ -298,8 +289,8 @@ func (s *Server) handleNear(w http.ResponseWriter, r *http.Request) {
 	for i, n := range res {
 		nodes[i] = nearNodeJSON{ID: n.Node, Label: s.nodeLabel(n.Node), Activation: n.Activation}
 	}
-	annotate(r, req.queryID(), len(nodes), stats.Truncated)
-	writeJSON(w, nearResponse{
+	api.Annotate(r, req.queryID(), len(nodes), stats.Truncated)
+	api.WriteJSON(w, nearResponse{
 		QueryID:   req.queryID(),
 		Clamped:   req.Clamped,
 		Truncated: stats.Truncated,
@@ -315,19 +306,19 @@ func (s *Server) handleNear(w http.ResponseWriter, r *http.Request) {
 type batchResponse struct {
 	Clamped []string          `json:"clamped,omitempty"`
 	Results []*searchResponse `json:"results"`
-	Errors  []*errorJSON      `json:"errors"`
+	Errors  []*api.Error      `json:"errors"`
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		s.writeError(w, &httpError{status: http.StatusMethodNotAllowed,
-			code: api.CodeMethodNotAllowed, message: "batch requests are POST with a JSON body"})
+		api.WriteError(w, &api.Error{Status: http.StatusMethodNotAllowed,
+			Code: api.CodeMethodNotAllowed, Detail: "batch requests are POST with a JSON body"})
 		return
 	}
 	reqs, timeout, clamped, herr := decodeBatchRequest(r, s.limits(r))
 	if herr != nil {
-		s.writeError(w, herr)
+		api.WriteError(w, herr)
 		return
 	}
 	ctx, cancel := queryCtx(r, timeout)
@@ -342,22 +333,17 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	resp := batchResponse{
 		Clamped: clamped,
 		Results: make([]*searchResponse, len(reqs)),
-		Errors:  make([]*errorJSON, len(reqs)),
+		Errors:  make([]*api.Error, len(reqs)),
 	}
 	answers, truncated := 0, false
 	for i := range reqs {
 		if errs[i] != nil {
 			s.met.observeQuery(string(reqs[i].Algo), outcomeError, 0)
 			he := mapQueryError(errs[i])
-			field := he.field
-			if field != "" {
-				field = fmt.Sprintf("queries[%d].%s", i, field)
+			if he.Field != "" {
+				he.Field = fmt.Sprintf("queries[%d].%s", i, he.Field)
 			}
-			detail := api.NewErrorDetail(he.status, he.code, field, he.message)
-			if s.v1ErrorsOnly {
-				detail = detail.V1Only()
-			}
-			resp.Errors[i] = &detail
+			resp.Errors[i] = he
 			continue
 		}
 		res := results[i]
@@ -370,18 +356,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		resp.Results[i] = s.searchResponse(reqs[i], res)
 		answers += len(resp.Results[i].Answers)
 	}
-	annotate(r, "batch", answers, truncated)
-	writeJSON(w, resp)
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if s.draining.Load() {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		w.Write([]byte("draining\n"))
-		return
-	}
-	w.Write([]byte("ok\n"))
+	api.Annotate(r, "batch", answers, truncated)
+	api.WriteJSON(w, resp)
 }
 
 // statuszResponse is the /statusz introspection document.
@@ -598,80 +574,73 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	resp.Runtime.GOMAXPROCS = runtime.GOMAXPROCS(0)
 	resp.Runtime.HeapBytes = mem.HeapAlloc
 
-	writeJSON(w, resp)
+	api.WriteJSON(w, resp)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	es := s.eng.Stats()
-	counters := []counterExtra{
-		{"banksd_admission_rejected_total", "Requests rejected by the admission gate (HTTP 429).", s.adm.rejectedTotal()},
-		{"banksd_admission_tenant_rejected_total", "Requests rejected by a per-tenant in-flight quota (subset of rejected).", s.adm.tenantRejectedTotal()},
-		{"banksd_cache_hits_total", "Engine result-cache hits.", es.CacheHits},
-		{"banksd_cache_misses_total", "Engine result-cache misses.", es.CacheMisses},
+	counters := []api.Counter{
+		{Name: "banksd_admission_rejected_total", Help: "Requests rejected by the admission gate (HTTP 429).", Value: s.adm.rejectedTotal()},
+		{Name: "banksd_admission_tenant_rejected_total", Help: "Requests rejected by a per-tenant in-flight quota (subset of rejected).", Value: s.adm.tenantRejectedTotal()},
+		{Name: "banksd_cache_hits_total", Help: "Engine result-cache hits.", Value: es.CacheHits},
+		{Name: "banksd_cache_misses_total", Help: "Engine result-cache misses.", Value: es.CacheMisses},
 	}
-	gauges := []gauge{
-		{"banksd_admission_in_flight", "Requests currently admitted.", float64(s.adm.inFlight())},
-		{"banksd_admission_limit", "Admission in-flight limit.", float64(s.adm.limit)},
-		{"banksd_engine_in_flight", "Engine pool slots currently held.", float64(es.InFlight)},
-		{"banksd_engine_pool_workers", "Engine pool width.", float64(es.Workers)},
-		{"banksd_cache_entries", "Entries in the engine result cache.", float64(es.CacheLen)},
-		{"banksd_draining", "1 once graceful drain has begun.", boolGauge(s.draining.Load())},
-		{"banksd_uptime_seconds", "Seconds since the server started.", time.Since(s.start).Seconds()},
-		{"go_goroutines", "Number of goroutines.", float64(runtime.NumGoroutine())},
+	gauges := []api.Gauge{
+		{Name: "banksd_admission_in_flight", Help: "Requests currently admitted.", Value: float64(s.adm.inFlight())},
+		{Name: "banksd_admission_limit", Help: "Admission in-flight limit.", Value: float64(s.adm.limit)},
+		{Name: "banksd_engine_in_flight", Help: "Engine pool slots currently held.", Value: float64(es.InFlight)},
+		{Name: "banksd_engine_pool_workers", Help: "Engine pool width.", Value: float64(es.Workers)},
+		{Name: "banksd_cache_entries", Help: "Entries in the engine result cache.", Value: float64(es.CacheLen)},
+		{Name: "banksd_draining", Help: "1 once graceful drain has begun.", Value: api.BoolGauge(s.draining.Load())},
+		{Name: "banksd_uptime_seconds", Help: "Seconds since the server started.", Value: time.Since(s.start).Seconds()},
+		{Name: "go_goroutines", Help: "Number of goroutines.", Value: float64(runtime.NumGoroutine())},
 	}
 	if s.live != nil {
 		st := s.live.Stats()
 		counters = append(counters,
-			counterExtra{"banksd_mutations_total", "Mutation ops applied (cumulative across compactions).", st.MutationsTotal},
-			counterExtra{"banksd_mutation_batches_total", "Mutation batches accepted.", st.MutationBatches},
-			counterExtra{"banksd_compactions_total", "Completed snapshot compactions.", st.CompactionsTotal},
+			api.Counter{Name: "banksd_mutations_total", Help: "Mutation ops applied (cumulative across compactions).", Value: st.MutationsTotal},
+			api.Counter{Name: "banksd_mutation_batches_total", Help: "Mutation batches accepted.", Value: st.MutationBatches},
+			api.Counter{Name: "banksd_compactions_total", Help: "Completed snapshot compactions.", Value: st.CompactionsTotal},
 		)
 		gauges = append(gauges,
-			gauge{"banksd_generation", "Current base snapshot generation.", float64(st.Generation)},
-			gauge{"banksd_delta_version", "Mutation batches applied since the current base.", float64(st.DeltaVersion)},
-			gauge{"banksd_delta_nodes", "Live nodes inserted since the current base.", float64(st.DeltaNodes)},
-			gauge{"banksd_delta_edges", "Live edges inserted since the current base.", float64(st.DeltaEdges)},
-			gauge{"banksd_delta_tombstones", "Nodes deleted since the current base.", float64(st.Tombstones)},
-			gauge{"banksd_ops_since_base", "Mutation ops applied since the current base generation (resets on compaction).", float64(st.OpsSinceBase)},
-			gauge{"banksd_compaction_seconds_sum", "Total seconds spent in compactions (pair with banksd_compactions_total for averages).", st.CompactionSecondsSum},
-			gauge{"banksd_last_compaction_seconds", "Duration of the most recent compaction.", st.LastCompactionSeconds},
+			api.Gauge{Name: "banksd_generation", Help: "Current base snapshot generation.", Value: float64(st.Generation)},
+			api.Gauge{Name: "banksd_delta_version", Help: "Mutation batches applied since the current base.", Value: float64(st.DeltaVersion)},
+			api.Gauge{Name: "banksd_delta_nodes", Help: "Live nodes inserted since the current base.", Value: float64(st.DeltaNodes)},
+			api.Gauge{Name: "banksd_delta_edges", Help: "Live edges inserted since the current base.", Value: float64(st.DeltaEdges)},
+			api.Gauge{Name: "banksd_delta_tombstones", Help: "Nodes deleted since the current base.", Value: float64(st.Tombstones)},
+			api.Gauge{Name: "banksd_ops_since_base", Help: "Mutation ops applied since the current base generation (resets on compaction).", Value: float64(st.OpsSinceBase)},
+			api.Gauge{Name: "banksd_compaction_seconds_sum", Help: "Total seconds spent in compactions (pair with banksd_compactions_total for averages).", Value: st.CompactionSecondsSum},
+			api.Gauge{Name: "banksd_last_compaction_seconds", Help: "Duration of the most recent compaction.", Value: st.LastCompactionSeconds},
 		)
 		if s.live.HasWAL() {
 			ws := s.live.WALStats()
 			counters = append(counters,
-				counterExtra{"banksd_wal_appends_total", "Mutation batches appended to the write-ahead log.", ws.Appends},
-				counterExtra{"banksd_wal_syncs_total", "fsync calls issued by the write-ahead log.", ws.Syncs},
-				counterExtra{"banksd_wal_resets_total", "Write-ahead log truncations (one per compaction).", ws.Resets},
-				counterExtra{"banksd_wal_append_failures_total", "Mutation batches the write-ahead log refused (batch not applied).", ws.AppendFailures},
+				api.Counter{Name: "banksd_wal_appends_total", Help: "Mutation batches appended to the write-ahead log.", Value: ws.Appends},
+				api.Counter{Name: "banksd_wal_syncs_total", Help: "fsync calls issued by the write-ahead log.", Value: ws.Syncs},
+				api.Counter{Name: "banksd_wal_resets_total", Help: "Write-ahead log truncations (one per compaction).", Value: ws.Resets},
+				api.Counter{Name: "banksd_wal_append_failures_total", Help: "Mutation batches the write-ahead log refused (batch not applied).", Value: ws.AppendFailures},
 			)
 			gauges = append(gauges,
-				gauge{"banksd_wal_size_bytes", "Current write-ahead log file size.", float64(ws.SizeBytes)},
-				gauge{"banksd_wal_records", "Records currently in the write-ahead log.", float64(ws.Records)},
+				api.Gauge{Name: "banksd_wal_size_bytes", Help: "Current write-ahead log file size.", Value: float64(ws.SizeBytes)},
+				api.Gauge{Name: "banksd_wal_records", Help: "Records currently in the write-ahead log.", Value: float64(ws.Records)},
 			)
 		}
 	}
 	if s.follower != nil {
 		st := s.follower.Stats()
 		counters = append(counters,
-			counterExtra{"banksd_replication_records_applied_total", "WAL records applied from the primary's log.", st.RecordsApplied},
-			counterExtra{"banksd_replication_bytes_applied_total", "WAL bytes applied from the primary's log.", uint64(st.BytesApplied)},
-			counterExtra{"banksd_replication_bootstraps_total", "Snapshot bootstraps (initial sync or re-sync across a compaction).", st.Bootstraps},
-			counterExtra{"banksd_replication_reconnects_total", "Stream reconnects after an error or cut.", st.Reconnects},
+			api.Counter{Name: "banksd_replication_records_applied_total", Help: "WAL records applied from the primary's log.", Value: st.RecordsApplied},
+			api.Counter{Name: "banksd_replication_bytes_applied_total", Help: "WAL bytes applied from the primary's log.", Value: uint64(st.BytesApplied)},
+			api.Counter{Name: "banksd_replication_bootstraps_total", Help: "Snapshot bootstraps (initial sync or re-sync across a compaction).", Value: st.Bootstraps},
+			api.Counter{Name: "banksd_replication_reconnects_total", Help: "Stream reconnects after an error or cut.", Value: st.Reconnects},
 		)
 		gauges = append(gauges,
-			gauge{"banksd_replication_connected", "1 while the follower's tail of the primary's log is healthy.", boolGauge(st.Connected)},
-			gauge{"banksd_replication_lag_records", "Mutation batches the primary has acknowledged that this follower has not yet applied.", float64(st.LagRecords)},
-			gauge{"banksd_replication_lag_bytes", "WAL bytes between the primary's log end and this follower's.", float64(st.LagBytes)},
-			gauge{"banksd_replication_lag_seconds", "Seconds this follower has continuously been behind the primary (0 when caught up).", st.LagSeconds},
+			api.Gauge{Name: "banksd_replication_connected", Help: "1 while the follower's tail of the primary's log is healthy.", Value: api.BoolGauge(st.Connected)},
+			api.Gauge{Name: "banksd_replication_lag_records", Help: "Mutation batches the primary has acknowledged that this follower has not yet applied.", Value: float64(st.LagRecords)},
+			api.Gauge{Name: "banksd_replication_lag_bytes", Help: "WAL bytes between the primary's log end and this follower's.", Value: float64(st.LagBytes)},
+			api.Gauge{Name: "banksd_replication_lag_seconds", Help: "Seconds this follower has continuously been behind the primary (0 when caught up).", Value: st.LagSeconds},
 		)
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.met.write(w, counters, gauges)
-}
-
-func boolGauge(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }

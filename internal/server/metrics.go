@@ -1,29 +1,26 @@
 package server
 
 import (
-	"fmt"
 	"io"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
+
+	"banks/internal/api"
 )
 
-// metrics is a minimal Prometheus-text-format exporter built on the
-// standard library only (the repo deliberately takes no dependencies).
-// It covers the serving layer: HTTP requests by path and status, queries
-// by algorithm and outcome, a query-latency sum/count pair (enough for
-// rate() and average-latency panels), and admission rejections. Engine
-// and runtime gauges are appended at scrape time by the /metrics handler,
+// metrics is the serving layer's Prometheus-text exporter (helpers in
+// internal/api): HTTP requests by path and status, queries by algorithm
+// and outcome, a query-latency sum/count pair (enough for rate() and
+// average-latency panels), and streaming delivery. Engine, admission and
+// runtime values are appended at scrape time by the /metrics handler,
 // which reads them from their owners instead of mirroring them here.
 type metrics struct {
-	mu sync.Mutex
-	// requests["path|code"], queries["algo|outcome"].
-	requests map[string]uint64
-	queries  map[string]uint64
-	qSecSum  float64
-	qCount   uint64
+	requests api.CounterVec // path, code — fed by api.Instrument
+	queries  api.CounterVec // algo, outcome
+
+	mu      sync.Mutex
+	qSecSum float64
+	qCount  uint64
 	// Streaming delivery: total streams served, total answers emitted
 	// across all streams, and a first-answer-latency sum/count pair over
 	// streams that produced at least one answer — the interactive-latency
@@ -32,19 +29,6 @@ type metrics struct {
 	streamAnswers uint64
 	faSecSum      float64
 	faCount       uint64
-}
-
-func newMetrics() *metrics {
-	return &metrics{
-		requests: make(map[string]uint64),
-		queries:  make(map[string]uint64),
-	}
-}
-
-func (m *metrics) observeRequest(path string, code int) {
-	m.mu.Lock()
-	m.requests[path+"|"+strconv.Itoa(code)]++
-	m.mu.Unlock()
 }
 
 // Query outcomes: every query the serving layer runs lands in exactly one.
@@ -59,12 +43,13 @@ const (
 // queries never ran to produce a meaningful duration, and mixing zeros
 // in would skew the average the sum/count pair exists to provide.
 func (m *metrics) observeQuery(algo string, outcome string, elapsed time.Duration) {
-	m.mu.Lock()
-	m.queries[algo+"|"+outcome]++
-	if outcome != outcomeError {
-		m.qSecSum += elapsed.Seconds()
-		m.qCount++
+	m.queries.Inc(algo, outcome)
+	if outcome == outcomeError {
+		return
 	}
+	m.mu.Lock()
+	m.qSecSum += elapsed.Seconds()
+	m.qCount++
 	m.mu.Unlock()
 }
 
@@ -82,84 +67,22 @@ func (m *metrics) observeStream(answers int, firstAnswer time.Duration) {
 	m.mu.Unlock()
 }
 
-// gauge is one instantaneous value appended at scrape time.
-type gauge struct {
-	name, help string
-	value      float64
-}
-
-// counterExtra is one cumulative value owned elsewhere (engine cache,
-// admission gate) exported alongside the handler-observed counters.
-type counterExtra struct {
-	name, help string
-	value      uint64
-}
-
-// write renders the exposition in the Prometheus text format, with series
-// sorted so scrapes are deterministic (and testable with string
-// comparison).
-func (m *metrics) write(w io.Writer, extraCounters []counterExtra, gauges []gauge) {
+// write renders the exposition: the handler-observed families first, then
+// the scrape-time counters and gauges in the order given.
+func (m *metrics) write(w io.Writer, counters []api.Counter, gauges []api.Gauge) {
 	m.mu.Lock()
-	requests := make(map[string]uint64, len(m.requests))
-	for k, v := range m.requests {
-		requests[k] = v
-	}
-	queries := make(map[string]uint64, len(m.queries))
-	for k, v := range m.queries {
-		queries[k] = v
-	}
 	qSecSum, qCount := m.qSecSum, m.qCount
 	streams, streamAnswers := m.streams, m.streamAnswers
 	faSecSum, faCount := m.faSecSum, m.faCount
 	m.mu.Unlock()
 
-	fmt.Fprintln(w, "# HELP banksd_http_requests_total HTTP requests served, by path and status code.")
-	fmt.Fprintln(w, "# TYPE banksd_http_requests_total counter")
-	for _, k := range sortedKeys(requests) {
-		path, code, _ := strings.Cut(k, "|")
-		fmt.Fprintf(w, "banksd_http_requests_total{path=%q,code=%q} %d\n", path, code, requests[k])
-	}
-
-	fmt.Fprintln(w, "# HELP banksd_queries_total Search and near queries executed, by algorithm and outcome (ok, truncated, error).")
-	fmt.Fprintln(w, "# TYPE banksd_queries_total counter")
-	for _, k := range sortedKeys(queries) {
-		algo, outcome, _ := strings.Cut(k, "|")
-		fmt.Fprintf(w, "banksd_queries_total{algo=%q,outcome=%q} %d\n", algo, outcome, queries[k])
-	}
-
-	fmt.Fprintln(w, "# HELP banksd_query_duration_seconds Execution time of queries that produced results (ok or truncated); errored queries are excluded.")
-	fmt.Fprintln(w, "# TYPE banksd_query_duration_seconds summary")
-	fmt.Fprintf(w, "banksd_query_duration_seconds_sum %s\n", formatFloat(qSecSum))
-	fmt.Fprintf(w, "banksd_query_duration_seconds_count %d\n", qCount)
-
-	fmt.Fprintln(w, "# HELP banksd_first_answer_seconds Wall-clock latency from stream request start to its first emitted answer (streams that emitted at least one).")
-	fmt.Fprintln(w, "# TYPE banksd_first_answer_seconds summary")
-	fmt.Fprintf(w, "banksd_first_answer_seconds_sum %s\n", formatFloat(faSecSum))
-	fmt.Fprintf(w, "banksd_first_answer_seconds_count %d\n", faCount)
-
-	fmt.Fprintln(w, "# HELP banksd_streams_total Streaming search requests served to completion.")
-	fmt.Fprintln(w, "# TYPE banksd_streams_total counter")
-	fmt.Fprintf(w, "banksd_streams_total %d\n", streams)
-
-	fmt.Fprintln(w, "# HELP banksd_stream_answers_total Answers emitted across all streams.")
-	fmt.Fprintln(w, "# TYPE banksd_stream_answers_total counter")
-	fmt.Fprintf(w, "banksd_stream_answers_total %d\n", streamAnswers)
-
-	for _, c := range extraCounters {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", c.name, c.help, c.name, c.name, c.value)
-	}
-	for _, g := range gauges {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %s\n", g.name, g.help, g.name, g.name, formatFloat(g.value))
-	}
-}
-
-func formatFloat(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
-
-func sortedKeys(m map[string]uint64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+	api.WriteRequests(w, "banksd", &m.requests)
+	m.queries.Write(w, "banksd_queries_total", "Search and near queries executed, by algorithm and outcome (ok, truncated, error).", "algo", "outcome")
+	api.WriteSummary(w, "banksd_query_duration_seconds", "Execution time of queries that produced results (ok or truncated); errored queries are excluded.", qSecSum, qCount)
+	api.WriteSummary(w, "banksd_first_answer_seconds", "Wall-clock latency from stream request start to its first emitted answer (streams that emitted at least one).", faSecSum, faCount)
+	api.WriteCounters(w,
+		api.Counter{Name: "banksd_streams_total", Help: "Streaming search requests served to completion.", Value: streams},
+		api.Counter{Name: "banksd_stream_answers_total", Help: "Answers emitted across all streams.", Value: streamAnswers})
+	api.WriteCounters(w, counters...)
+	api.WriteGauges(w, gauges...)
 }

@@ -85,12 +85,12 @@ type compactResponse struct {
 // nodeField converts one wire node reference, enforcing presence and the
 // NodeID (int32) range so an out-of-range value cannot wrap into a valid
 // ID.
-func nodeField(v *int64, opIdx int, name string) (graph.NodeID, *httpError) {
+func nodeField(v *int64, opIdx int, name string) (graph.NodeID, *api.Error) {
 	if v == nil {
-		return 0, badRequest(fmt.Sprintf("ops[%d].%s", opIdx, name), "%s is required for this op", name)
+		return 0, api.BadRequest(fmt.Sprintf("ops[%d].%s", opIdx, name), "%s is required for this op", name)
 	}
 	if *v < 0 || *v > math.MaxInt32 {
-		return 0, badRequest(fmt.Sprintf("ops[%d].%s", opIdx, name), "node ID %d out of range", *v)
+		return 0, api.BadRequest(fmt.Sprintf("ops[%d].%s", opIdx, name), "node ID %d out of range", *v)
 	}
 	return graph.NodeID(*v), nil
 }
@@ -100,27 +100,27 @@ func nodeField(v *int64, opIdx int, name string) (graph.NodeID, *httpError) {
 // validation only — semantic checks (unknown nodes, tombstoned endpoints,
 // bad weights in context) belong to the delta layer, which reports them
 // per op.
-func decodeMutateOps(body io.Reader, maxOps int) ([]banks.MutationOp, *httpError) {
+func decodeMutateOps(body io.Reader, maxOps int) ([]banks.MutationOp, *api.Error) {
 	var p mutateParams
 	if herr := decodeStrictJSON(body, &p); herr != nil {
 		return nil, herr
 	}
 	if len(p.Ops) == 0 {
-		return nil, badRequest("ops", "mutation batch contains no ops")
+		return nil, api.BadRequest("ops", "mutation batch contains no ops")
 	}
 	if maxOps > 0 && len(p.Ops) > maxOps {
-		return nil, &httpError{status: http.StatusBadRequest, code: api.CodeMutateTooLarge, field: "ops",
-			message: fmt.Sprintf("batch of %d ops exceeds the tenant limit %d", len(p.Ops), maxOps)}
+		return nil, &api.Error{Status: http.StatusBadRequest, Code: api.CodeMutateTooLarge, Field: "ops",
+			Detail: fmt.Sprintf("batch of %d ops exceeds the tenant limit %d", len(p.Ops), maxOps)}
 	}
 	ops := make([]banks.MutationOp, len(p.Ops))
 	for i, w := range p.Ops {
 		field := func(name string) string { return fmt.Sprintf("ops[%d].%s", i, name) }
 		op := banks.MutationOp{Kind: banks.MutationKind(w.Op)}
-		var herr *httpError
+		var herr *api.Error
 		switch op.Kind {
 		case banks.OpInsertNode:
 			if w.Table == "" {
-				return nil, badRequest(field("table"), "insert_node requires a table")
+				return nil, api.BadRequest(field("table"), "insert_node requires a table")
 			}
 			op.Table, op.Text = w.Table, w.Text
 		case banks.OpInsertEdge:
@@ -131,13 +131,13 @@ func decodeMutateOps(body io.Reader, maxOps int) ([]banks.MutationOp, *httpError
 				return nil, herr
 			}
 			if w.Weight == nil {
-				return nil, badRequest(field("weight"), "insert_edge requires a weight")
+				return nil, api.BadRequest(field("weight"), "insert_edge requires a weight")
 			}
 			// JSON cannot express NaN/Inf, so finiteness holds by
 			// construction; positivity is the delta layer's check.
 			op.Weight = *w.Weight
 			if w.EdgeType < 0 || w.EdgeType > maxWireEdgeType {
-				return nil, badRequest(field("edge_type"), "edge type %d out of range", w.EdgeType)
+				return nil, api.BadRequest(field("edge_type"), "edge type %d out of range", w.EdgeType)
 			}
 			op.EdgeType = graph.EdgeType(w.EdgeType)
 		case banks.OpDeleteNode:
@@ -156,11 +156,11 @@ func decodeMutateOps(body io.Reader, maxOps int) ([]banks.MutationOp, *httpError
 				return nil, herr
 			}
 			if w.Term == "" {
-				return nil, badRequest(field("term"), "%s requires a term", w.Op)
+				return nil, api.BadRequest(field("term"), "%s requires a term", w.Op)
 			}
 			op.Term = w.Term
 		default:
-			return nil, badRequest(field("op"), "unknown op kind %q", w.Op)
+			return nil, api.BadRequest(field("op"), "unknown op kind %q", w.Op)
 		}
 		ops[i] = op
 	}
@@ -172,26 +172,26 @@ func decodeMutateOps(body io.Reader, maxOps int) ([]banks.MutationOp, *httpError
 func (s *Server) requireLive(w http.ResponseWriter, r *http.Request) bool {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		s.writeError(w, &httpError{status: http.StatusMethodNotAllowed,
-			code: api.CodeMethodNotAllowed, message: "mutations are POST with a JSON body"})
+		api.WriteError(w, &api.Error{Status: http.StatusMethodNotAllowed,
+			Code: api.CodeMethodNotAllowed, Detail: "mutations are POST with a JSON body"})
 		return false
 	}
 	if s.live == nil {
-		s.writeError(w, &httpError{status: http.StatusNotImplemented, code: api.CodeNotMutable,
-			message: "this server was started without live mutations (banksd -live)"})
+		api.WriteError(w, &api.Error{Status: http.StatusNotImplemented, Code: api.CodeNotMutable,
+			Detail: "this server was started without live mutations (banksd -live)"})
 		return false
 	}
 	if s.follower != nil {
 		// A follower's state is a replica of its primary's log; a local
 		// write would fork it. Point the client at the leader.
 		st := s.follower.Stats()
-		s.writeError(w, &httpError{status: http.StatusConflict, code: api.CodeNotPrimary,
-			message: fmt.Sprintf("this server is a replication follower; write to the primary at %s", st.Primary)})
+		api.WriteError(w, &api.Error{Status: http.StatusConflict, Code: api.CodeNotPrimary,
+			Detail: fmt.Sprintf("this server is a replication follower; write to the primary at %s", st.Primary)})
 		return false
 	}
 	if !s.limits(r).MutateAllowed() {
-		s.writeError(w, &httpError{status: http.StatusForbidden, code: api.CodeMutateDenied,
-			message: "this tenant is not allowed to mutate"})
+		api.WriteError(w, &api.Error{Status: http.StatusForbidden, Code: api.CodeMutateDenied,
+			Detail: "this tenant is not allowed to mutate"})
 		return false
 	}
 	return true
@@ -203,7 +203,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	}
 	ops, herr := decodeMutateOps(http.MaxBytesReader(nil, r.Body, maxBodyBytes), s.limits(r).MaxMutateOps)
 	if herr != nil {
-		s.writeError(w, herr)
+		api.WriteError(w, herr)
 		return
 	}
 	res, err := s.live.Apply(ops)
@@ -213,16 +213,16 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 			// The batch was valid but could not be made durable — and
 			// therefore was not applied. 503: the client may retry, the
 			// data is intact.
-			s.writeError(w, &httpError{status: http.StatusServiceUnavailable,
-				code: api.CodeWALAppendFailed, message: err.Error()})
+			api.WriteError(w, &api.Error{Status: http.StatusServiceUnavailable,
+				Code: api.CodeWALAppendFailed, Detail: err.Error()})
 			return
 		}
 		// Semantic rejections from the delta layer are the caller's to
 		// fix; the batch was not applied.
-		s.writeError(w, badRequest("ops", "%v", err))
+		api.WriteError(w, api.BadRequest("ops", "%v", err))
 		return
 	}
-	annotate(r, "mutate", len(ops), false)
+	api.Annotate(r, "mutate", len(ops), false)
 	resp := mutateResponse{
 		Applied:      len(ops),
 		Assigned:     res.Assigned,
@@ -235,7 +235,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		off := res.WALOffset
 		resp.WALOffset = &off
 	}
-	writeJSON(w, resp)
+	api.WriteJSON(w, resp)
 }
 
 func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
@@ -245,12 +245,12 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	res, err := s.live.Compact(r.Context())
 	if err != nil {
-		s.writeError(w, &httpError{status: http.StatusInternalServerError, code: api.CodeCompactFailed,
-			message: err.Error()})
+		api.WriteError(w, &api.Error{Status: http.StatusInternalServerError, Code: api.CodeCompactFailed,
+			Detail: err.Error()})
 		return
 	}
-	annotate(r, "compact", 0, false)
-	writeJSON(w, compactResponse{
+	api.Annotate(r, "compact", 0, false)
+	api.WriteJSON(w, compactResponse{
 		Generation:   res.Generation,
 		Path:         res.Path,
 		DurationMS:   float64(time.Since(start)) / float64(time.Millisecond),

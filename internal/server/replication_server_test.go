@@ -239,40 +239,3 @@ func TestFollowerServerEndToEnd(t *testing.T) {
 		}
 	}
 }
-
-// TestV1OnlyErrorShape pins the post-deprecation envelope: with
-// V1ErrorsOnly set (banksd -legacy-errors=false), the legacy mirror
-// fields — top-level "code", error.status, error.message — are gone and
-// only the v1 contract remains.
-func TestV1OnlyErrorShape(t *testing.T) {
-	s, _ := newTestServer(t, Config{V1ErrorsOnly: true})
-	req := httptest.NewRequest(http.MethodGet, "/v1/search?q=cite&bogus=1", nil)
-	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, req)
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("status = %d, want 400; body %s", rec.Code, rec.Body.Bytes())
-	}
-	var m map[string]any
-	if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil {
-		t.Fatalf("bad JSON: %v", err)
-	}
-	if _, ok := m["code"]; ok {
-		t.Fatalf("legacy top-level code still present: %s", rec.Body.Bytes())
-	}
-	e, ok := m["error"].(map[string]any)
-	if !ok {
-		t.Fatalf("no error object: %s", rec.Body.Bytes())
-	}
-	if _, ok := e["status"]; ok {
-		t.Fatalf("legacy error.status still present: %s", rec.Body.Bytes())
-	}
-	if _, ok := e["message"]; ok {
-		t.Fatalf("legacy error.message still present: %s", rec.Body.Bytes())
-	}
-	if e["code"] != api.CodeBadRequest || e["field"] != "bogus" {
-		t.Fatalf("v1 contract fields wrong: %s", rec.Body.Bytes())
-	}
-	if d, _ := e["detail"].(string); d == "" {
-		t.Fatalf("error.detail missing: %s", rec.Body.Bytes())
-	}
-}

@@ -30,46 +30,28 @@ const maxBodyBytes = 1 << 20
 // past the tenant timeout cap.
 const maxWireTimeoutMS = 24 * 60 * 60 * 1000
 
-// httpError is a request failure with a definite HTTP mapping. Handlers
-// return it up to the middleware, which renders the JSON error body (and
-// the Retry-After header when set).
-type httpError struct {
-	status     int
-	code       string // stable machine-readable slug, e.g. "bad_request"
-	message    string
-	field      string // offending field for validation errors, if known
-	retryAfter int    // seconds; emitted as Retry-After when > 0
-}
-
-func (e *httpError) Error() string { return e.message }
-
-func badRequest(field, format string, args ...any) *httpError {
-	return &httpError{status: http.StatusBadRequest, code: api.CodeBadRequest, field: field,
-		message: fmt.Sprintf(format, args...)}
-}
-
 // mapQueryError converts an engine/core failure into its HTTP form. The
 // contract with internal/core is typed: every invalid-option failure is a
 // *core.OptionsError carrying the offending field, which becomes a 400
 // the client can correct. Deadline expiry *while waiting for a pool slot*
 // is the one case where a deadline yields an error instead of a truncated
 // partial result, and maps to 504.
-func mapQueryError(err error) *httpError {
+func mapQueryError(err error) *api.Error {
 	var oe *core.OptionsError
 	if errors.As(err, &oe) {
-		return &httpError{status: http.StatusBadRequest, code: api.CodeBadOptions,
-			field: oe.Field, message: oe.Error()}
+		return &api.Error{Status: http.StatusBadRequest, Code: api.CodeBadOptions,
+			Field: oe.Field, Detail: oe.Error()}
 	}
 	if errors.Is(err, context.DeadlineExceeded) {
-		return &httpError{status: http.StatusGatewayTimeout, code: api.CodeDeadlineExceeded,
-			message: "deadline expired before the query could start executing"}
+		return &api.Error{Status: http.StatusGatewayTimeout, Code: api.CodeDeadlineExceeded,
+			Detail: "deadline expired before the query could start executing"}
 	}
 	if errors.Is(err, context.Canceled) {
-		return &httpError{status: http.StatusServiceUnavailable, code: api.CodeCanceled,
-			message: "request canceled before the query could start executing"}
+		return &api.Error{Status: http.StatusServiceUnavailable, Code: api.CodeCanceled,
+			Detail: "request canceled before the query could start executing"}
 	}
-	return &httpError{status: http.StatusInternalServerError, code: api.CodeInternal,
-		message: err.Error()}
+	return &api.Error{Status: http.StatusInternalServerError, Code: api.CodeInternal,
+		Detail: err.Error()}
 }
 
 // searchParams is the wire form of one query, shared by the /v1/search
@@ -130,17 +112,17 @@ var knownParams = map[string]bool{
 }
 
 // paramsFromQueryString decodes a URL query string into searchParams.
-func paramsFromQueryString(values url.Values) (*searchParams, *httpError) {
+func paramsFromQueryString(values url.Values) (*searchParams, *api.Error) {
 	for k, vs := range values {
 		if !knownParams[k] {
-			return nil, badRequest(k, "unknown query parameter %q", k)
+			return nil, api.BadRequest(k, "unknown query parameter %q", k)
 		}
 		if len(vs) != 1 {
-			return nil, badRequest(k, "parameter %q given %d times, want once", k, len(vs))
+			return nil, api.BadRequest(k, "parameter %q given %d times, want once", k, len(vs))
 		}
 	}
 	p := &searchParams{Query: values.Get("q"), Algo: values.Get("algo")}
-	var err *httpError
+	var err *api.Error
 	if p.K, err = intParam(values, "k"); err != nil {
 		return nil, err
 	}
@@ -165,16 +147,16 @@ func paramsFromQueryString(values url.Values) (*searchParams, *httpError) {
 	if raw := values.Get("timeout"); raw != "" {
 		d, derr := parseTimeout(raw)
 		if derr != nil {
-			return nil, badRequest("timeout", "bad timeout %q: want a duration like 250ms or integral milliseconds", raw)
+			return nil, api.BadRequest("timeout", "bad timeout %q: want a duration like 250ms or integral milliseconds", raw)
 		}
 		p.TimeoutMS = d.Milliseconds()
 		// Sub-millisecond durations round to 0 == "unset"; reject instead
 		// of silently removing the caller's deadline.
 		if p.TimeoutMS == 0 && d != 0 {
-			return nil, badRequest("timeout", "timeout %q is below 1ms resolution", raw)
+			return nil, api.BadRequest("timeout", "timeout %q is below 1ms resolution", raw)
 		}
 		if d < 0 {
-			return nil, badRequest("timeout", "timeout must be non-negative, got %q", raw)
+			return nil, api.BadRequest("timeout", "timeout must be non-negative, got %q", raw)
 		}
 	}
 	return p, nil
@@ -194,19 +176,19 @@ func parseTimeout(raw string) (time.Duration, error) {
 	return time.ParseDuration(raw)
 }
 
-func intParam(values url.Values, name string) (int, *httpError) {
+func intParam(values url.Values, name string) (int, *api.Error) {
 	raw := values.Get(name)
 	if raw == "" {
 		return 0, nil
 	}
 	v, err := strconv.Atoi(raw)
 	if err != nil {
-		return 0, badRequest(name, "bad integer %q for %s", raw, name)
+		return 0, api.BadRequest(name, "bad integer %q for %s", raw, name)
 	}
 	return v, nil
 }
 
-func floatParam(values url.Values, name string) (float64, *httpError) {
+func floatParam(values url.Values, name string) (float64, *api.Error) {
 	raw := values.Get(name)
 	if raw == "" {
 		return 0, nil
@@ -218,19 +200,19 @@ func floatParam(values url.Values, name string) (float64, *httpError) {
 	// non-finite values at all, so this closes the one transport that
 	// can).
 	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0, badRequest(name, "bad number %q for %s", raw, name)
+		return 0, api.BadRequest(name, "bad number %q for %s", raw, name)
 	}
 	return v, nil
 }
 
-func boolParam(values url.Values, name string) (bool, *httpError) {
+func boolParam(values url.Values, name string) (bool, *api.Error) {
 	raw := values.Get(name)
 	if raw == "" {
 		return false, nil
 	}
 	v, err := strconv.ParseBool(raw)
 	if err != nil {
-		return false, badRequest(name, "bad boolean %q for %s", raw, name)
+		return false, api.BadRequest(name, "bad boolean %q for %s", raw, name)
 	}
 	return v, nil
 }
@@ -239,20 +221,20 @@ func boolParam(values url.Values, name string) (bool, *httpError) {
 // fields are rejected (a typoed cap or option must fail loudly, not
 // silently run with defaults), and a second document in the body is a
 // framing error, not extra input to ignore.
-func decodeStrictJSON(body io.Reader, v any) *httpError {
+func decodeStrictJSON(body io.Reader, v any) *api.Error {
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		return badRequest("", "bad JSON body: %v", err)
+		return api.BadRequest("", "bad JSON body: %v", err)
 	}
 	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		return badRequest("", "trailing data after JSON body")
+		return api.BadRequest("", "trailing data after JSON body")
 	}
 	return nil
 }
 
 // paramsFromJSON decodes a JSON request body into searchParams, strictly.
-func paramsFromJSON(body io.Reader) (*searchParams, *httpError) {
+func paramsFromJSON(body io.Reader) (*searchParams, *api.Error) {
 	var p searchParams
 	if herr := decodeStrictJSON(body, &p); herr != nil {
 		return nil, herr
@@ -265,26 +247,26 @@ func paramsFromJSON(body io.Reader) (*searchParams, *httpError) {
 // reported in Clamped); structurally invalid values (negative k, mu out
 // of range, ...) are left for core's typed validation so every limit
 // lives in exactly one place.
-func (p *searchParams) resolve(lim TenantLimits) (*searchRequest, *httpError) {
+func (p *searchParams) resolve(lim TenantLimits) (*searchRequest, *api.Error) {
 	terms := banks.Keywords(p.Query)
 	if len(terms) == 0 {
-		return nil, badRequest("q", "query contains no keywords")
+		return nil, api.BadRequest("q", "query contains no keywords")
 	}
 	if len(terms) > core.MaxKeywords {
-		return nil, badRequest("q", "query has %d keywords, maximum is %d", len(terms), core.MaxKeywords)
+		return nil, api.BadRequest("q", "query has %d keywords, maximum is %d", len(terms), core.MaxKeywords)
 	}
 	algo := banks.Bidirectional
 	if p.Algo != "" {
 		algo = banks.Algorithm(p.Algo)
 		if !knownAlgo(algo) {
-			return nil, badRequest("algo", "unknown algorithm %q (have %s)", p.Algo, algoNames())
+			return nil, api.BadRequest("algo", "unknown algorithm %q (have %s)", p.Algo, algoNames())
 		}
 	}
 	if p.TimeoutMS < 0 {
-		return nil, badRequest("timeout_ms", "timeout must be non-negative, got %d", p.TimeoutMS)
+		return nil, api.BadRequest("timeout_ms", "timeout must be non-negative, got %d", p.TimeoutMS)
 	}
 	if p.TimeoutMS > maxWireTimeoutMS {
-		return nil, badRequest("timeout_ms", "timeout %dms exceeds the maximum %dms", p.TimeoutMS, maxWireTimeoutMS)
+		return nil, api.BadRequest("timeout_ms", "timeout %dms exceeds the maximum %dms", p.TimeoutMS, maxWireTimeoutMS)
 	}
 
 	req := &searchRequest{
@@ -367,20 +349,20 @@ func algoNames() string {
 // request — the query string on GET, a JSON body on POST — without
 // resolving tenant limits (handlers that restrict the parameter surface,
 // like /v1/near, inspect the raw params first).
-func decodeSearchParams(r *http.Request) (*searchParams, *httpError) {
+func decodeSearchParams(r *http.Request) (*searchParams, *api.Error) {
 	switch r.Method {
 	case http.MethodGet:
 		return paramsFromQueryString(r.URL.Query())
 	case http.MethodPost:
 		return paramsFromJSON(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
 	default:
-		return nil, &httpError{status: http.StatusMethodNotAllowed, code: api.CodeMethodNotAllowed,
-			message: "use GET with query parameters or POST with a JSON body"}
+		return nil, &api.Error{Status: http.StatusMethodNotAllowed, Code: api.CodeMethodNotAllowed,
+			Detail: "use GET with query parameters or POST with a JSON body"}
 	}
 }
 
 // decodeSearchRequest decodes and tenant-resolves one query.
-func decodeSearchRequest(r *http.Request, lim TenantLimits) (*searchRequest, *httpError) {
+func decodeSearchRequest(r *http.Request, lim TenantLimits) (*searchRequest, *api.Error) {
 	p, herr := decodeSearchParams(r)
 	if herr != nil {
 		return nil, herr
@@ -399,33 +381,33 @@ type batchParams struct {
 // decodeBatchRequest decodes and resolves a POST /v1/batch body. The
 // returned clamped list discloses batch-level reductions (today only the
 // shared deadline); per-element clamps are disclosed on each element.
-func decodeBatchRequest(r *http.Request, lim TenantLimits) (reqs []*searchRequest, timeout time.Duration, clamped []string, herr *httpError) {
+func decodeBatchRequest(r *http.Request, lim TenantLimits) (reqs []*searchRequest, timeout time.Duration, clamped []string, herr *api.Error) {
 	var b batchParams
 	if herr := decodeStrictJSON(http.MaxBytesReader(nil, r.Body, maxBodyBytes), &b); herr != nil {
 		return nil, 0, nil, herr
 	}
 	if len(b.Queries) == 0 {
-		return nil, 0, nil, badRequest("queries", "batch contains no queries")
+		return nil, 0, nil, api.BadRequest("queries", "batch contains no queries")
 	}
 	if lim.MaxBatch > 0 && len(b.Queries) > lim.MaxBatch {
-		return nil, 0, nil, &httpError{status: http.StatusBadRequest, code: api.CodeBatchTooLarge, field: "queries",
-			message: fmt.Sprintf("batch of %d queries exceeds the tenant limit %d", len(b.Queries), lim.MaxBatch)}
+		return nil, 0, nil, &api.Error{Status: http.StatusBadRequest, Code: api.CodeBatchTooLarge, Field: "queries",
+			Detail: fmt.Sprintf("batch of %d queries exceeds the tenant limit %d", len(b.Queries), lim.MaxBatch)}
 	}
 	if b.TimeoutMS < 0 {
-		return nil, 0, nil, badRequest("timeout_ms", "timeout must be non-negative, got %d", b.TimeoutMS)
+		return nil, 0, nil, api.BadRequest("timeout_ms", "timeout must be non-negative, got %d", b.TimeoutMS)
 	}
 	if b.TimeoutMS > maxWireTimeoutMS {
-		return nil, 0, nil, badRequest("timeout_ms", "timeout %dms exceeds the maximum %dms", b.TimeoutMS, maxWireTimeoutMS)
+		return nil, 0, nil, api.BadRequest("timeout_ms", "timeout %dms exceeds the maximum %dms", b.TimeoutMS, maxWireTimeoutMS)
 	}
 	reqs = make([]*searchRequest, len(b.Queries))
 	for i := range b.Queries {
 		if b.Queries[i].TimeoutMS != 0 {
-			return nil, 0, nil, badRequest(fmt.Sprintf("queries[%d].timeout_ms", i),
+			return nil, 0, nil, api.BadRequest(fmt.Sprintf("queries[%d].timeout_ms", i),
 				"timeout_ms is per batch: set it at the top level")
 		}
 		req, eherr := b.Queries[i].resolve(lim)
 		if eherr != nil {
-			eherr.field = fmt.Sprintf("queries[%d].%s", i, eherr.field)
+			eherr.Field = fmt.Sprintf("queries[%d].%s", i, eherr.Field)
 			return nil, 0, nil, eherr
 		}
 		reqs[i] = req

@@ -7,11 +7,12 @@ import (
 	"testing"
 
 	"banks"
+	"banks/internal/api"
 )
 
-func decodeError(t *testing.T, body []byte) errorJSON {
+func decodeError(t *testing.T, body []byte) api.Error {
 	t.Helper()
-	var eb errorBody
+	var eb api.ErrorEnvelope
 	if err := json.Unmarshal(body, &eb); err != nil {
 		t.Fatalf("bad error JSON: %v\n%s", err, body)
 	}
@@ -90,12 +91,12 @@ func TestBadRequests(t *testing.T) {
 			}
 			e := decodeError(t, body)
 			if e.Code != tc.wantCode {
-				t.Errorf("error code %q, want %q (%s)", e.Code, tc.wantCode, e.Message)
+				t.Errorf("error code %q, want %q (%s)", e.Code, tc.wantCode, e.Detail)
 			}
 			if tc.wantField != "" && e.Field != tc.wantField {
-				t.Errorf("error field %q, want %q (%s)", e.Field, tc.wantField, e.Message)
+				t.Errorf("error field %q, want %q (%s)", e.Field, tc.wantField, e.Detail)
 			}
-			if e.Status != http.StatusBadRequest || e.Message == "" {
+			if e.Detail == "" {
 				t.Errorf("incomplete error body: %+v", e)
 			}
 		})

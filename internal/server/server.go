@@ -37,6 +37,7 @@ import (
 	"time"
 
 	"banks"
+	"banks/internal/api"
 	"banks/internal/repl"
 )
 
@@ -80,11 +81,6 @@ type Config struct {
 	// pointing at the primary, and /statusz + /metrics expose the
 	// replication lag the Follower reports.
 	Follower *repl.Follower
-	// V1ErrorsOnly drops the deprecated error-envelope mirror fields
-	// (top-level "code", error.status, error.message), emitting the pure
-	// v1 contract. The zero value keeps the legacy mirrors during the
-	// deprecation window (banksd -legacy-errors=false sets this).
-	V1ErrorsOnly bool
 }
 
 // Server routes HTTP requests into a banks.Engine.
@@ -95,18 +91,14 @@ type Server struct {
 	tenants *TenantConfig
 	adm     *admission
 	met     *metrics
-	logger  *log.Logger
 	dataset string
 
 	streamDropToBatch bool
 	follower          *repl.Follower
-	publisher         *repl.Publisher // non-nil when Live has a WAL
-	v1ErrorsOnly      bool
 
 	start    time.Time
 	draining atomic.Bool
-	reqSeq   atomic.Uint64
-	mux      *http.ServeMux
+	handler  http.Handler
 }
 
 // New builds a Server from the config.
@@ -137,27 +129,11 @@ func New(cfg Config) (*Server, error) {
 		live:              cfg.Live,
 		tenants:           tenants,
 		adm:               newAdmission(maxInFlight),
-		met:               newMetrics(),
-		logger:            cfg.Logger,
+		met:               new(metrics),
 		dataset:           cfg.Dataset,
 		streamDropToBatch: cfg.StreamDropToBatch,
 		follower:          cfg.Follower,
-		v1ErrorsOnly:      cfg.V1ErrorsOnly,
 		start:             time.Now(),
-	}
-	if cfg.Live != nil && cfg.Live.HasWAL() {
-		// Any WAL-backed live instance can serve its log — a primary to
-		// its followers, and a follower to chained replicas downstream.
-		pub, err := repl.NewPublisher(repl.PublisherConfig{
-			Source: cfg.Live,
-			WriteError: func(w http.ResponseWriter, status int, code, field, detail string) {
-				s.writeError(w, &httpError{status: status, code: code, field: field, message: detail})
-			},
-		})
-		if err != nil {
-			return nil, err
-		}
-		s.publisher = pub
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/search", s.admitted(s.handleSearch))
@@ -167,24 +143,30 @@ func New(cfg Config) (*Server, error) {
 	mux.HandleFunc("/v1/explain", s.admitted(s.handleExplain))
 	mux.HandleFunc("/v1/mutate", s.admitted(s.handleMutate))
 	mux.HandleFunc("/v1/compact", s.admitted(s.handleCompact))
-	if s.publisher != nil {
+	if cfg.Live != nil && cfg.Live.HasWAL() {
+		// Any WAL-backed live instance can serve its log — a primary to
+		// its followers, and a follower to chained replicas downstream.
+		pub, err := repl.NewPublisher(repl.PublisherConfig{Source: cfg.Live})
+		if err != nil {
+			return nil, err
+		}
 		// Replication bypasses admission: a parked long-poll must not
 		// hold a query slot, and followers must be able to catch up even
 		// when the query path is saturated.
-		mux.HandleFunc("/v1/replication/log", s.publisher.ServeLog)
-		mux.HandleFunc("/v1/replication/snapshot", s.publisher.ServeSnapshot)
+		mux.HandleFunc("/v1/replication/log", pub.ServeLog)
+		mux.HandleFunc("/v1/replication/snapshot", pub.ServeSnapshot)
 	}
-	mux.HandleFunc("/healthz", s.handleHealthz)
+	mux.HandleFunc("/healthz", api.Healthz(&s.draining))
 	mux.HandleFunc("/statusz", s.handleStatusz)
 	mux.HandleFunc("/metrics", s.handleMetrics)
-	s.mux = mux
+	s.handler = api.Instrument(mux, cfg.Logger, &s.met.requests)
 	return s, nil
 }
 
 // Handler returns the server's HTTP handler: the route mux wrapped in the
 // instrumentation middleware (request IDs, logging, metrics, panic
 // containment).
-func (s *Server) Handler() http.Handler { return s.instrument(s.mux) }
+func (s *Server) Handler() http.Handler { return s.handler }
 
 // BeginDrain flips the server into draining mode: /healthz starts
 // answering 503 so load balancers stop routing here, while requests

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"banks"
+	"banks/internal/api"
 )
 
 // The /v1/search/stream endpoint: the same query surface as /v1/search,
@@ -65,7 +66,7 @@ type streamTrailerLine struct {
 // stream can never smuggle k or a deadline past the tenant caps. It is a
 // separate seam (and fuzz target: FuzzDecodeStreamRequest) so the stream
 // surface can diverge later without loosening /v1/search.
-func decodeStreamRequest(r *http.Request, lim TenantLimits) (*searchRequest, *httpError) {
+func decodeStreamRequest(r *http.Request, lim TenantLimits) (*searchRequest, *api.Error) {
 	return decodeSearchRequest(r, lim)
 }
 
@@ -74,7 +75,7 @@ func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond)
 func (s *Server) handleSearchStream(w http.ResponseWriter, r *http.Request) {
 	req, herr := decodeStreamRequest(r, s.limits(r))
 	if herr != nil {
-		s.writeError(w, herr)
+		api.WriteError(w, herr)
 		return
 	}
 	ctx, cancel := queryCtx(r, req.Timeout)
@@ -83,8 +84,8 @@ func (s *Server) handleSearchStream(w http.ResponseWriter, r *http.Request) {
 		banks.StreamOptions{DropToBatch: s.streamDropToBatch})
 	if err != nil {
 		s.met.observeQuery(string(req.Algo), outcomeError, 0)
-		annotate(r, req.queryID(), 0, false)
-		s.writeError(w, mapQueryError(err))
+		api.Annotate(r, req.queryID(), 0, false)
+		api.WriteError(w, mapQueryError(err))
 		return
 	}
 
@@ -158,12 +159,6 @@ func (s *Server) handleSearchStream(w http.ResponseWriter, r *http.Request) {
 	}
 	writeLine(trailer)
 	s.met.observeStream(answers, firstWall)
-
-	if info := infoFrom(r.Context()); info != nil {
-		info.queryID = req.queryID()
-		info.answers = answers
-		info.truncated = tr.Truncated
-		info.stream = true
-		info.firstAnswer = firstWall
-	}
+	api.Annotate(r, req.queryID(), answers, tr.Truncated)
+	api.AnnotateStream(r, firstWall)
 }

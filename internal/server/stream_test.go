@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"banks"
+	"banks/internal/api"
 )
 
 // parseStreamBody splits an NDJSON stream body into its answer lines and
@@ -151,7 +152,7 @@ func TestStreamBadRequests(t *testing.T) {
 		if ct := hdr.Get("Content-Type"); ct != "application/json" {
 			t.Fatalf("%s: error content type %q", path, ct)
 		}
-		var eb errorBody
+		var eb api.ErrorEnvelope
 		if err := json.Unmarshal(body, &eb); err != nil || eb.Error.Code == "" {
 			t.Fatalf("%s: bad error body: %s", path, body)
 		}
@@ -226,7 +227,7 @@ func TestTenantQuota(t *testing.T) {
 	if hdr.Get("Retry-After") == "" {
 		t.Fatal("tenant 429 without Retry-After")
 	}
-	var eb errorBody
+	var eb api.ErrorEnvelope
 	if err := json.Unmarshal(body, &eb); err != nil || eb.Error.Code != "tenant_over_capacity" {
 		t.Fatalf("bad tenant 429 body: %s", body)
 	}
