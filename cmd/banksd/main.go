@@ -73,7 +73,6 @@ func run() error {
 	compactAfterOps := flag.Uint64("compact-after-ops", 0, "auto-compact once this many ops accumulate since the base generation (0 disables)")
 	compactAfterBytes := flag.Int64("compact-after-bytes", 0, "auto-compact once the WAL grows past this many bytes (0 disables)")
 	follow := flag.String("follow", "", "run as a replication follower tailing this primary's WAL, e.g. http://primary:8080 (requires -live -wal -snapshot; local writes answer 409 not_primary; see docs/REPLICATION.md)")
-	streamDropToBatch := flag.Bool("stream-drop-to-batch", false, "degrade slow /v1/search/stream consumers to batch delivery instead of blocking answer generation (see docs/STREAMING.md)")
 	drainGrace := flag.Duration("drain-grace", time.Second, "window between /healthz turning 503 and the listener closing, so load balancers can observe unreadiness and stop routing (0 for tests)")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "how long graceful shutdown waits for in-flight requests")
 	flag.Parse()
@@ -191,15 +190,14 @@ func run() error {
 	}
 
 	srv, err := server.New(server.Config{
-		Engine:            eng,
-		DB:                db,
-		Live:              live,
-		Tenants:           tenants,
-		MaxInFlight:       *maxInFlight,
-		Logger:            log.Default(),
-		Dataset:           desc,
-		StreamDropToBatch: *streamDropToBatch,
-		Follower:          follower,
+		Engine:      eng,
+		DB:          db,
+		Live:        live,
+		Tenants:     tenants,
+		MaxInFlight: *maxInFlight,
+		Logger:      log.Default(),
+		Dataset:     desc,
+		Follower:    follower,
 	})
 	if err != nil {
 		return err

@@ -75,8 +75,8 @@ func (e *Engine) Near(ctx context.Context, query string, opts Options) ([]NearRe
 // Streaming types, aliased from the engine so callers configure streams
 // without importing internal packages.
 type (
-	// StreamOptions configures a SearchStream call (buffer size and
-	// backpressure policy).
+	// StreamOptions configures a SearchStream call (answer-channel
+	// buffer size).
 	StreamOptions = engine.StreamOptions
 	// Stream is one in-progress streaming search: range over Answers()
 	// until closed, then read Trailer().

@@ -32,6 +32,10 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	return w.ResponseWriter.Write(b)
 }
 
+// Unwrap exposes the underlying writer to http.ResponseController, so
+// handlers behind Instrument can still flush (per-answer NDJSON streams).
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
 // reqInfo is the per-request record handlers annotate (query ID, answer
 // count, truncation) so Instrument can emit one complete log line after
 // the response is written.

@@ -118,6 +118,24 @@ func TestInstrumentNonCanonicalPath(t *testing.T) {
 	}
 }
 
+// TestInstrumentFlushes: a handler behind Instrument can flush through
+// http.ResponseController — the per-answer NDJSON stream depends on it.
+func TestInstrumentFlushes(t *testing.T) {
+	var flushErr error
+	h := Instrument(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte("{}\n"))
+		flushErr = http.NewResponseController(w).Flush()
+	}), nil, new(CounterVec))
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/search/stream", nil))
+	if flushErr != nil {
+		t.Fatalf("flush behind Instrument: %v", flushErr)
+	}
+	if !rec.Flushed {
+		t.Fatal("recorder was not flushed")
+	}
+}
+
 // TestInstrumentLogLine: one line per /v1/ request carrying the request
 // ID, tenant, query ID, status and annotations; streams add first=.
 func TestInstrumentLogLine(t *testing.T) {

@@ -85,7 +85,7 @@ type Options struct {
 	// including truncated prefixes under cancellation. The callback must
 	// not modify the answer and must not re-enter the search; it may
 	// block, which stalls answer generation (the streaming layers build
-	// their backpressure policies on exactly that). Emit never changes
+	// their backpressure on exactly that). Emit never changes
 	// what a search computes — only when the caller hears about it — but
 	// it has no identity to cache on, so queries carrying it bypass the
 	// engine result cache. Tree searches only; Near uses EmitNear.

@@ -90,10 +90,6 @@ type Config struct {
 	// computed.
 	Mode            PrestigeMode
 	PrestigeOptions prestige.Options
-	// Log, when non-nil, is the write-ahead log every batch is appended
-	// to before acknowledgment. Nil means mutations are memory-only
-	// between compactions (the pre-WAL behavior).
-	Log LogAppender
 }
 
 // Stats is a point-in-time snapshot of the manager's state and activity.
@@ -131,8 +127,12 @@ type Manager struct {
 
 	mu   sync.Mutex
 	view *View
+	// log is the write-ahead log every batch is appended to before
+	// acknowledgment (guarded by mu; attached by SetLog). Nil means
+	// mutations are memory-only between compactions.
+	log LogAppender
 	// opsSinceBase counts ops applied onto the current base generation
-	// (guarded by mu; reset by Compact).
+	// (guarded by mu; reset by install).
 	opsSinceBase uint64
 	// owned is the snapshot backing the current base iff the manager
 	// opened it (a compacted generation). The process-initial snapshot
@@ -172,35 +172,37 @@ func (m *Manager) View() *View {
 	return m.view
 }
 
-// Apply validates and applies one mutation batch, appends it to the
-// write-ahead log (when configured), swaps the resulting view into the
-// engine, and reports the result. Queries in flight keep their
-// pre-batch view; queries arriving after Apply returns see the
-// mutations.
-//
-// Ordering is the durability and atomicity contract: the batch is
-// validated and the new view + source are fully built first, the WAL
-// append is the last fallible step, and only after it succeeds does the
-// swap make the batch visible and the counters move. A failed append
-// therefore leaves the in-memory overlay, the serving source, and every
-// counter exactly as they were — the client's error means "not applied,
-// not durable", with no third state.
-func (m *Manager) Apply(batch []Op) (*ApplyResult, error) {
+// SetLog attaches the write-ahead log every later batch is appended to.
+// Crash recovery replays the records it read from a log into a manager
+// with no log attached — they are already in it — and attaches the log
+// afterwards.
+func (m *Manager) SetLog(log LogAppender) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.log = log
+}
+
+// commit is the one write path: client batches, recovered records and
+// replicated records all become the next delta version here, with mu
+// held. The new view and source are fully built first, the log append
+// (when a log is attached) is the last fallible step, and only after it
+// succeeds does the swap make the batch visible and the counters move.
+// An error therefore leaves the overlay, the serving source and every
+// counter as they were — "not applied, not durable", with no third
+// state. offset is the log end after the record; -1 without a log.
+func (m *Manager) commit(batch []Op) (assigned []graph.NodeID, offset int64, err error) {
 	nv, assigned, err := m.view.Apply(batch)
 	if err != nil {
-		return nil, err
+		return nil, -1, err
 	}
 	src, err := engine.NewSource(nv, nv.Lookup, nv.generation, nv.version)
 	if err != nil {
-		return nil, err
+		return nil, -1, err
 	}
-	walOffset := int64(-1)
-	if m.cfg.Log != nil {
-		walOffset, err = m.cfg.Log.Append(nv.generation, nv.version, batch)
-		if err != nil {
-			return nil, &WALError{Err: err}
+	offset = -1
+	if m.log != nil {
+		if offset, err = m.log.Append(nv.generation, nv.version, batch); err != nil {
+			return nil, -1, &WALError{Err: err}
 		}
 	}
 	m.cfg.Engine.Swap(src)
@@ -208,11 +210,28 @@ func (m *Manager) Apply(batch []Op) (*ApplyResult, error) {
 	m.opsSinceBase += uint64(len(batch))
 	m.mutationsTotal.Add(uint64(len(batch)))
 	m.mutationBatches.Add(1)
+	return assigned, offset, nil
+}
+
+// Apply validates and applies one mutation batch as the next delta
+// version, appends it to the write-ahead log (when configured), swaps
+// the resulting view into the engine, and reports the result. Queries
+// in flight keep their pre-batch view; queries arriving after Apply
+// returns see the mutations. A *WALError means the batch was valid but
+// the log refused it, and it was not applied.
+func (m *Manager) Apply(batch []Op) (*ApplyResult, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	assigned, offset, err := m.commit(batch)
+	if err != nil {
+		return nil, err
+	}
+	nv := m.view
 	return &ApplyResult{
 		Assigned:     assigned,
 		Generation:   nv.generation,
 		DeltaVersion: nv.version,
-		WALOffset:    walOffset,
+		WALOffset:    offset,
 		DeltaNodes:   nv.DeltaNodes(),
 		DeltaEdges:   nv.DeltaEdges(),
 		Tombstones:   nv.Tombstones(),
@@ -231,97 +250,81 @@ func (e *WALError) Error() string {
 
 func (e *WALError) Unwrap() error { return e.Err }
 
-// Replay applies one recovered WAL record during open, with the
-// idempotence rules that make recovery safe against every crash point:
+// Replay applies one logged record — recovered from the local log, or
+// shipped from a primary to a follower — under the idempotence rules
+// that make both safe against every crash point and re-sent chunk:
 //
-//   - generation < base: the record predates the base snapshot (the
-//     crash hit between compaction's rename and the WAL truncate) — its
-//     effects are already in the base; skip.
-//   - generation > base: the log claims a future base — the snapshot
-//     and log files do not belong together; refuse.
+//   - generation < base: the record predates the base snapshot (a crash
+//     between compaction's rename and the WAL truncate, or a primary
+//     re-serving pre-compaction history); its effects are in the base —
+//     skip.
+//   - generation > base: the record needs a newer base; refuse.
 //   - version ≤ current: duplicate record; skip.
-//   - version > current+1: a record between them is missing; refuse
-//     (recovering around a hole would silently reorder history).
+//   - version > current+1: a record is missing; refuse (applying around
+//     a hole would silently reorder history).
 //
-// Replayed batches do not re-append to the WAL (they are already in
-// it). applied reports whether the record advanced the state.
-func (m *Manager) Replay(generation, version uint64, ops []Op) (applied bool, err error) {
+// The exactly-next record commits like a client batch, so it is logged
+// only when a log is attached: recovery replays before the log is
+// attached (the records are already in it), while a follower's log grows
+// by exactly the records applied here — canonical frame encoding keeps
+// it a byte-identical copy of the primary's, which is what makes
+// wal_offset a cluster-wide position. offset is the log end after the
+// record; -1 when it was skipped or no log is attached.
+func (m *Manager) Replay(generation, version uint64, ops []Op) (applied bool, offset int64, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	cur := m.view
 	switch {
 	case generation < cur.generation:
-		return false, nil
+		return false, -1, nil
 	case generation > cur.generation:
-		return false, fmt.Errorf("delta: replay: record generation %d is ahead of base generation %d (log does not match snapshot)", generation, cur.generation)
+		return false, -1, fmt.Errorf("delta: replay: record generation %d is ahead of base generation %d (the log needs a newer base)", generation, cur.generation)
 	case version <= cur.version:
-		return false, nil
+		return false, -1, nil
 	case version != cur.version+1:
-		return false, fmt.Errorf("delta: replay: version jumps %d→%d, a record is missing", cur.version, version)
+		return false, -1, fmt.Errorf("delta: replay: version jumps %d→%d, a record is missing", cur.version, version)
 	}
-	nv, _, err := cur.Apply(ops)
-	if err != nil {
-		return false, fmt.Errorf("delta: replay version %d: %w", version, err)
+	if _, offset, err = m.commit(ops); err != nil {
+		return false, -1, fmt.Errorf("delta: replay version %d: %w", version, err)
 	}
-	src, err := engine.NewSource(nv, nv.Lookup, nv.generation, nv.version)
-	if err != nil {
-		return false, err
-	}
-	m.cfg.Engine.Swap(src)
-	m.view = nv
-	m.opsSinceBase += uint64(len(ops))
-	m.mutationsTotal.Add(uint64(len(ops)))
-	m.mutationBatches.Add(1)
-	return true, nil
+	return true, offset, nil
 }
 
-// ReplayLogged is the replication ingest seam: a follower applies one
-// record shipped from its primary's log under Replay's idempotence
-// rules, and — unlike Replay, whose records are already in the local
-// log — appends the record to this process's own write-ahead log
-// before making it visible. The append reuses the record's original
-// (generation, version) stamp, and the wal package's frame encoding is
-// canonical, so the follower's log file stays a byte-identical copy of
-// the primary's at identical offsets — which is what makes wal_offset
-// a globally comparable replication position. Skipped records
-// (duplicates, pre-base generations) are not re-appended. offset is
-// the local log end after the record; -1 when the record was skipped
-// or no log is configured.
-func (m *Manager) ReplayLogged(generation, version uint64, ops []Op) (applied bool, offset int64, err error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	cur := m.view
-	switch {
-	case generation < cur.generation:
-		return false, -1, nil
-	case generation > cur.generation:
-		return false, -1, fmt.Errorf("delta: replicate: record generation %d is ahead of base generation %d (follower must bootstrap a newer base)", generation, cur.generation)
-	case version <= cur.version:
-		return false, -1, nil
-	case version != cur.version+1:
-		return false, -1, fmt.Errorf("delta: replicate: version jumps %d→%d, a record is missing", cur.version, version)
-	}
-	nv, _, err := cur.Apply(ops)
+// install is the one base-install path: it makes snap — a compacted or
+// adopted generation — the new base at delta version 0, with mu held,
+// and takes ownership of it (closing it on error). Every logged record
+// is redundant with the new base, so the log is truncated; a failed
+// truncation is tolerated (replay skips records older than the base)
+// and walReset reports it. The source swap is atomic — new queries bind
+// the new base at once — and the previously owned mapping is released
+// only once no query can still be reading it.
+func (m *Manager) install(ctx context.Context, snap *store.Snapshot) (walReset bool, err error) {
+	nv := NewView(snap.Graph, snap.Index, snap.Generation, m.cfg.Mode, m.cfg.PrestigeOptions)
+	src, err := engine.NewSource(nv, nv.Lookup, snap.Generation, 0)
 	if err != nil {
-		return false, -1, fmt.Errorf("delta: replicate version %d: %w", version, err)
+		snap.Close()
+		return false, err
 	}
-	src, err := engine.NewSource(nv, nv.Lookup, nv.generation, nv.version)
-	if err != nil {
-		return false, -1, err
-	}
-	offset = -1
-	if m.cfg.Log != nil {
-		offset, err = m.cfg.Log.Append(generation, version, ops)
-		if err != nil {
-			return false, -1, &WALError{Err: err}
-		}
+	if m.log != nil {
+		walReset = m.log.Reset() == nil
 	}
 	m.cfg.Engine.Swap(src)
+
+	// A query binds its source while holding a pool slot, so one observed
+	// moment of full idleness means none still reads the replaced state.
+	// The process-initial snapshot is never owned: other components hold
+	// references into it, so it stays mapped for the life of the process.
+	if err := m.cfg.Engine.Quiesce(ctx); err != nil {
+		// The swap already happened and is valid; the old mapping just
+		// cannot be released yet. Leak it rather than risk a read fault.
+		m.owned = nil
+	} else if m.owned != nil {
+		m.owned.Close()
+	}
+	m.owned = snap
 	m.view = nv
-	m.opsSinceBase += uint64(len(ops))
-	m.mutationsTotal.Add(uint64(len(ops)))
-	m.mutationBatches.Add(1)
-	return true, offset, nil
+	m.opsSinceBase = 0
+	return walReset, nil
 }
 
 // AdoptBase replaces the manager's base with an externally produced
@@ -329,11 +332,9 @@ func (m *Manager) ReplayLogged(generation, version uint64, ops []Op) (applied bo
 // adopts the fetched generation file instead of materializing its own.
 // The overlay is discarded (the new base contains its effects by
 // construction: it is the primary's compaction of the same record
-// sequence the follower applied), the local write-ahead log is
-// truncated exactly as after a local compaction, and the engine
-// hot-swaps with Compact's zero-dropped-queries discipline. The path
-// must name a snapshot whose generation is strictly ahead of the
-// current base.
+// sequence the follower applied), and the base installs exactly as
+// after a local compaction. The path must name a snapshot whose
+// generation is strictly ahead of the current base.
 func (m *Manager) AdoptBase(ctx context.Context, path string) (uint64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -346,28 +347,9 @@ func (m *Manager) AdoptBase(ctx context.Context, path string) (uint64, error) {
 		snap.Close()
 		return 0, fmt.Errorf("delta: adopted base generation %d is not ahead of current %d", gen, m.view.generation)
 	}
-	nv := NewView(snap.Graph, snap.Index, snap.Generation, m.cfg.Mode, m.cfg.PrestigeOptions)
-	src, err := engine.NewSource(nv, nv.Lookup, snap.Generation, 0)
-	if err != nil {
-		snap.Close()
+	if _, err := m.install(ctx, snap); err != nil {
 		return 0, err
 	}
-	// Same tolerance as Compact: a failed truncation leaves stale
-	// records that replay will skip by generation.
-	if m.cfg.Log != nil {
-		_ = m.cfg.Log.Reset()
-	}
-	m.cfg.Engine.Swap(src)
-	if err := m.cfg.Engine.Quiesce(ctx); err != nil {
-		// Swap already happened and is valid; leak the old mapping rather
-		// than risk a read fault under an unfinished query.
-		m.owned = nil
-	} else if m.owned != nil {
-		m.owned.Close()
-	}
-	m.owned = snap
-	m.view = nv
-	m.opsSinceBase = 0
 	return snap.Generation, nil
 }
 
@@ -396,11 +378,8 @@ func (m *Manager) BasePath() string {
 
 // Compact materializes the current overlay into a generation-N+1
 // snapshot file, re-opens it, and hot-swaps it in as the new base with
-// zero dropped queries: the engine source swap is atomic (new queries
-// bind the new base immediately), then Quiesce waits for every query
-// bound to the old state to finish before the previous manager-owned
-// mapping is released. Mutations are blocked for the duration; queries
-// are not.
+// zero dropped queries (see install). Mutations are blocked for the
+// duration; queries are not.
 //
 // The durability order is: new generation written and fsync'd (the
 // snapshot writer syncs before its rename), then verified by re-open,
@@ -433,40 +412,12 @@ func (m *Manager) Compact(ctx context.Context) (*CompactResult, error) {
 		snap.Close()
 		return nil, fmt.Errorf("delta: generation %d snapshot reads back as %d", newGen, snap.Generation)
 	}
-
-	nv := NewView(snap.Graph, snap.Index, newGen, m.cfg.Mode, m.cfg.PrestigeOptions)
-	src, err := engine.NewSource(nv, nv.Lookup, newGen, 0)
+	// The new generation is durable and verified: the logged records are
+	// now redundant, so install may truncate the log.
+	walReset, err := m.install(ctx, snap)
 	if err != nil {
-		snap.Close()
 		return nil, err
 	}
-
-	// The new generation is durable and verified: the logged records are
-	// now redundant. A Reset failure is tolerated — replay skips records
-	// whose generation predates the base — the log just stays fat until
-	// the next successful truncation.
-	walReset := false
-	if m.cfg.Log != nil {
-		walReset = m.cfg.Log.Reset() == nil
-	}
-	m.cfg.Engine.Swap(src)
-
-	// In-flight protection: a query binds its source while holding a
-	// pool slot, so one observed moment of full idleness means no query
-	// can still be reading the replaced state. Only then is the previous
-	// manager-owned mapping released. The process-initial snapshot is
-	// left mapped for the life of the process (other components hold
-	// references into it).
-	if err := m.cfg.Engine.Quiesce(ctx); err != nil {
-		// The swap already happened and is valid; the old mapping just
-		// cannot be released yet. Leak it rather than risk a read fault.
-		m.owned = nil
-	} else if m.owned != nil {
-		m.owned.Close()
-	}
-	m.owned = snap
-	m.view = nv
-	m.opsSinceBase = 0
 
 	dur := time.Since(start).Seconds()
 	m.compactionsTotal.Add(1)

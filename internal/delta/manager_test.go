@@ -67,10 +67,12 @@ func newManagerWorldLog(t *testing.T, snapshotPath string, log LogAppender) (*Ma
 		Index:        ix,
 		SnapshotPath: snapshotPath,
 		Mode:         PrestigeUniform,
-		Log:          log,
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if log != nil {
+		m.SetLog(log)
 	}
 	return m, eng
 }

@@ -1,70 +1,105 @@
 package delta
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// TestReplayLoggedRules pins the idempotence contract the replication
-// follower leans on when applying a primary's log through the stream
-// seam: stale versions and older generations are skipped WITHOUT being
-// re-appended to the local log (re-appending a skip would fork the
-// follower's offsets from the primary's), holes and newer generations
-// are refused, and only the exactly-next version applies and appends.
-func TestReplayLoggedRules(t *testing.T) {
-	fl := &fakeLog{}
-	m, _ := newManagerWorldLog(t, "", fl)
-
-	ops := []Op{{Kind: OpInsertNode, Table: diffTables[0], Text: "replaylogged seam probe"}}
-
-	// Establish version 1..2 as the follower's current state.
-	for v := uint64(1); v <= 2; v++ {
-		applied, _, err := m.ReplayLogged(0, v, ops)
-		if err != nil || !applied {
-			t.Fatalf("seed v%d: applied=%v err=%v", v, applied, err)
-		}
-	}
-	if len(fl.appended) != 2 {
-		t.Fatalf("seed appends = %d, want 2", len(fl.appended))
-	}
-
+// TestReplayRules pins the idempotence table of the one replay entry
+// point that crash recovery and replication share: stale versions and
+// older generations are skipped, version holes and newer generations
+// are refused, only the exactly-next version applies, and only applied
+// records count as mutations. It runs once with a log attached — the
+// follower's setting, where only applied records may append (appending
+// a skip would fork the follower's offsets from the primary's) — and
+// once with none — the recovery setting — where every outcome must be
+// the same.
+func TestReplayRules(t *testing.T) {
 	cases := []struct {
-		name       string
-		gen, ver   uint64
-		applied    bool
-		errSubstr  string // "" = no error
-		wantAppend bool
+		name      string
+		gen, ver  uint64
+		applied   bool
+		errSubstr string // "" = no error
 	}{
-		{name: "replayed version is skipped, not re-appended", gen: 0, ver: 2, applied: false},
-		{name: "ancient version is skipped", gen: 0, ver: 1, applied: false},
-		{name: "version hole is refused", gen: 0, ver: 5, errSubstr: "a record is missing"},
-		{name: "newer generation is refused", gen: 3, ver: 1, errSubstr: "ahead of base generation"},
-		{name: "exactly-next version applies and appends", gen: 0, ver: 3, applied: true, wantAppend: true},
+		{name: "replayed version is skipped, not re-appended", gen: 1, ver: 2},
+		{name: "ancient version is skipped", gen: 1, ver: 1},
+		{name: "older generation is skipped", gen: 0, ver: 3},
+		{name: "version hole is refused", gen: 1, ver: 5, errSubstr: "a record is missing"},
+		{name: "newer generation is refused", gen: 2, ver: 3, errSubstr: "ahead of base generation"},
+		{name: "exactly-next version applies", gen: 1, ver: 3, applied: true},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			before := len(fl.appended)
-			verBefore := m.Stats().DeltaVersion
-			applied, _, err := m.ReplayLogged(tc.gen, tc.ver, ops)
-			if tc.errSubstr != "" {
-				if err == nil || !strings.Contains(err.Error(), tc.errSubstr) {
-					t.Fatalf("err = %v, want substring %q", err, tc.errSubstr)
-				}
-				if applied {
-					t.Fatal("refused record reported applied")
-				}
-			} else if err != nil {
+	for _, logged := range []bool{true, false} {
+		name := "no log"
+		if logged {
+			name = "log"
+		}
+		t.Run(name, func(t *testing.T) {
+			fl := &fakeLog{}
+			var log LogAppender
+			if logged {
+				log = fl
+			}
+			m, _ := newManagerWorldLog(t, filepath.Join(t.TempDir(), "rules.banksnap"), log)
+			// Generation 1 makes "older generation" reachable.
+			if _, err := m.Compact(t.Context()); err != nil {
 				t.Fatal(err)
 			}
-			if applied != tc.applied {
-				t.Fatalf("applied = %v, want %v", applied, tc.applied)
+			ops := []Op{{Kind: OpInsertNode, Table: diffTables[0], Text: "replay rules probe"}}
+			// Establish versions 1..2 as the current state.
+			for v := uint64(1); v <= 2; v++ {
+				if applied, _, err := m.Replay(1, v, ops); err != nil || !applied {
+					t.Fatalf("seed v%d: applied=%v err=%v", v, applied, err)
+				}
 			}
-			gotAppend := len(fl.appended) > before
-			if gotAppend != tc.wantAppend {
-				t.Fatalf("appended = %v, want %v", gotAppend, tc.wantAppend)
-			}
-			if !applied && m.Stats().DeltaVersion != verBefore {
-				t.Fatal("skipped record moved the version")
+
+			for _, tc := range cases {
+				t.Run(tc.name, func(t *testing.T) {
+					appendsBefore, before := len(fl.appended), m.Stats()
+					applied, offset, err := m.Replay(tc.gen, tc.ver, ops)
+					if tc.errSubstr != "" {
+						if err == nil || !strings.Contains(err.Error(), tc.errSubstr) {
+							t.Fatalf("err = %v, want substring %q", err, tc.errSubstr)
+						}
+					} else if err != nil {
+						t.Fatal(err)
+					}
+					if applied != tc.applied {
+						t.Fatalf("applied = %v, want %v", applied, tc.applied)
+					}
+
+					// Accounting: an applied record counts once, anything
+					// else leaves every counter where it was.
+					n := uint64(0)
+					if tc.applied {
+						n = 1
+					}
+					after := m.Stats()
+					if after.DeltaVersion != before.DeltaVersion+n ||
+						after.MutationBatches != before.MutationBatches+n ||
+						after.MutationsTotal != before.MutationsTotal+n*uint64(len(ops)) ||
+						after.OpsSinceBase != before.OpsSinceBase+n*uint64(len(ops)) {
+						t.Fatalf("accounting moved %+v → %+v, want %d applied record(s)", before, after, n)
+					}
+
+					// Logging: only an applied record appends, and only
+					// when a log is attached.
+					wantAppends := 0
+					if logged && tc.applied {
+						wantAppends = 1
+					}
+					if got := len(fl.appended) - appendsBefore; got != wantAppends {
+						t.Fatalf("appended %d record(s), want %d", got, wantAppends)
+					}
+					if wantAppends == 1 {
+						if rec := fl.appended[len(fl.appended)-1]; rec != (fakeRecord{tc.gen, tc.ver, len(ops)}) {
+							t.Fatalf("appended %+v, want the record's own stamp", rec)
+						}
+					}
+					if (offset >= 0) != (wantAppends == 1) {
+						t.Fatalf("offset = %d with %d append(s)", offset, wantAppends)
+					}
+				})
 			}
 		})
 	}
@@ -78,7 +113,7 @@ func TestReplayLoggedRules(t *testing.T) {
 func TestReplayOldGeneration(t *testing.T) {
 	m, _ := newManagerWorld(t, t.TempDir()+"/seam.banksnap")
 	ops := []Op{{Kind: OpInsertNode, Table: diffTables[0], Text: "oldgen probe"}}
-	if applied, _, err := m.ReplayLogged(0, 1, ops); err != nil || !applied {
+	if applied, _, err := m.Replay(0, 1, ops); err != nil || !applied {
 		t.Fatalf("seed: applied=%v err=%v", applied, err)
 	}
 	if _, err := m.Compact(t.Context()); err != nil {
@@ -88,7 +123,7 @@ func TestReplayOldGeneration(t *testing.T) {
 	if st.Generation != 1 {
 		t.Fatalf("generation = %d, want 1", st.Generation)
 	}
-	applied, _, err := m.ReplayLogged(0, 2, ops)
+	applied, _, err := m.Replay(0, 2, ops)
 	if err != nil || applied {
 		t.Fatalf("old-generation replay: applied=%v err=%v, want silent skip", applied, err)
 	}

@@ -92,43 +92,6 @@ func TestApplyAtomicOnWALFailure(t *testing.T) {
 	}
 }
 
-// TestReplayRules pins the idempotence table that makes recovery safe at
-// every crash point: stale generations and duplicate versions skip,
-// future generations and version holes refuse, and replayed batches
-// count as mutations without re-appending to the log.
-func TestReplayRules(t *testing.T) {
-	fl := &fakeLog{}
-	m, _ := newManagerWorldLog(t, "", fl)
-	batch := []Op{{Kind: OpInsertNode, Table: "paper", Text: "replayed"}}
-
-	if applied, err := m.Replay(0, 1, batch); err != nil || !applied {
-		t.Fatalf("first replay: applied=%v err=%v", applied, err)
-	}
-	if applied, err := m.Replay(0, 1, batch); err != nil || applied {
-		t.Fatalf("duplicate version must skip: applied=%v err=%v", applied, err)
-	}
-	if _, err := m.Replay(0, 3, batch); err == nil {
-		t.Fatal("version hole accepted")
-	}
-	// A record stamped with a generation older than the base: its effects
-	// are already folded into the snapshot — skip silently.
-	m.view.generation = 5
-	if applied, err := m.Replay(4, 2, batch); err != nil || applied {
-		t.Fatalf("stale generation must skip: applied=%v err=%v", applied, err)
-	}
-	if _, err := m.Replay(6, 2, batch); err == nil {
-		t.Fatal("future generation accepted (log does not match snapshot)")
-	}
-
-	st := m.Stats()
-	if st.MutationsTotal != 1 || st.MutationBatches != 1 || st.OpsSinceBase != 1 {
-		t.Fatalf("replay accounting: %+v", st)
-	}
-	if len(fl.appended) != 0 {
-		t.Fatalf("replay re-appended to the log: %+v", fl.appended)
-	}
-}
-
 // TestCompactResetsWAL: a durable compaction truncates the log exactly
 // once; a Reset failure is tolerated (WALReset false, compaction still
 // succeeds) because replay skips records older than the new base.

@@ -16,23 +16,16 @@ import (
 // search quickly when the consumer genuinely cannot keep up.
 const DefaultStreamBuffer = 16
 
-// StreamOptions configures one SearchStream call.
+// StreamOptions configures one SearchStream call. Backpressure always
+// blocks generation: a consumer slower than the search stalls it inside
+// the emission until the answer is taken — strict incrementality, at the
+// cost of holding the query's pool slot while the consumer dawdles.
 type StreamOptions struct {
 	// Buffer is the answer-channel capacity: 0 selects
 	// DefaultStreamBuffer, negative means unbuffered (every emission
 	// waits for the consumer — useful in tests that need deterministic
 	// backpressure).
 	Buffer int
-	// DropToBatch selects the backpressure policy for a consumer slower
-	// than answer generation. False (the default) blocks generation: the
-	// search stalls inside the emission until the consumer takes the
-	// answer — strict incrementality, at the cost of holding the query's
-	// pool slot while the consumer dawdles. True degrades to batch
-	// delivery instead: the first emission that would block stops live
-	// streaming, the search runs to completion unthrottled, and the
-	// remaining answers are delivered in order afterwards (the trailer
-	// reports Degraded). Content and order are identical either way.
-	DropToBatch bool
 }
 
 // StreamTrailer summarizes a finished stream — the final NDJSON line of
@@ -51,19 +44,17 @@ type StreamTrailer struct {
 	Cached bool
 	// Answers is how many answers were actually delivered on the channel.
 	Answers int
-	// Degraded reports that live per-answer delivery was abandoned
-	// (DropToBatch tripped, or the context ended during a send — live or
-	// replayed); answers after that point were delivered after the
-	// search, if at all.
+	// Degraded reports that the context ended while an answer was waiting
+	// to be delivered (live or replayed); answers after that point were
+	// not delivered live.
 	Degraded bool
 }
 
 // Stream is one in-progress streaming search. The consumer ranges over
 // Answers until the channel closes, then reads the Trailer. Abandoning a
 // stream requires cancelling the context passed to SearchStream —
-// walking away without draining blocks the producer (blocking
-// backpressure is the default policy) and leaks its goroutine until the
-// context ends.
+// walking away without draining blocks the producer (backpressure blocks
+// generation) and leaks its goroutine until the context ends.
 type Stream struct {
 	ch      chan core.EmittedAnswer
 	done    chan struct{}
@@ -189,7 +180,7 @@ func (e *Engine) SearchStream(ctx context.Context, q Query, so StreamOptions) (*
 		kw[i] = src.lookup(t)
 	}
 
-	go e.runStream(runCtx, cancel, st, src, q, kw, so, key, cacheable)
+	go e.runStream(runCtx, cancel, st, src, q, kw, key, cacheable)
 	return st, nil
 }
 
@@ -207,24 +198,15 @@ func knownAlgo(a core.Algo) bool {
 // runStream executes the search on its own goroutine, feeding the stream
 // through the core Emit seam.
 func (e *Engine) runStream(ctx context.Context, cancel context.CancelFunc, st *Stream,
-	src *Source, q Query, kw [][]graph.NodeID, so StreamOptions, key cacheKey, cacheable bool) {
+	src *Source, q Query, kw [][]graph.NodeID, key cacheKey, cacheable bool) {
 	defer cancel()
 
-	// sent and degraded are touched only by the Emit callback and the
-	// post-search tail below, both on this goroutine.
+	// sent and degraded are touched only by the Emit callback, on this
+	// goroutine.
 	sent, degraded := 0, false
 	opts := q.Opts
 	opts.Emit = func(ev core.EmittedAnswer) {
 		if degraded {
-			return
-		}
-		if so.DropToBatch {
-			select {
-			case st.ch <- ev:
-				sent++
-			default:
-				degraded = true
-			}
 			return
 		}
 		select {
@@ -240,9 +222,6 @@ func (e *Engine) runStream(ctx context.Context, cancel context.CancelFunc, st *S
 	}
 
 	res, err := core.Search(ctx, src.graph, q.Algo, kw, opts)
-
-	// The search is over: return the pool slot before tail delivery,
-	// which runs at the consumer's pace and must not hold pool capacity.
 	<-e.sem
 
 	if err != nil {
@@ -255,13 +234,6 @@ func (e *Engine) runStream(ctx context.Context, cancel context.CancelFunc, st *S
 		return
 	}
 
-	// Deliver whatever was not streamed live (the degraded tail; empty on
-	// the happy path). Answers are in output order, and the live-sent
-	// prefix is exactly res.Answers[:sent], so delivery stays in order
-	// and gap-free.
-	delivered, deliveryCut := deliver(ctx, st.ch, res.Answers, sent, res.Stats.AnswersGenerated)
-	sent += delivered
-
 	if res.Stats.Truncated {
 		e.truncated.Add(1)
 	}
@@ -270,38 +242,30 @@ func (e *Engine) runStream(ctx context.Context, cancel context.CancelFunc, st *S
 	if cacheable && !res.Stats.Truncated {
 		e.cache.put(key, res)
 	}
+	// Every answer in res.Answers passed through Emit, so a degraded
+	// stream delivered only a prefix of them.
 	st.finish(StreamTrailer{
 		Stats:     res.Stats,
-		Truncated: res.Stats.Truncated || deliveryCut,
+		Truncated: res.Stats.Truncated || degraded,
 		Answers:   sent,
 		Degraded:  degraded,
 	}, nil)
-}
-
-// deliver sends answers[from:] on ch in order — Rank and OutputAt come
-// from the answers themselves, gen stamps Generated for these non-live
-// events — stopping early when ctx ends. It reports how many were sent
-// and whether the context cut delivery short. Both non-live delivery
-// paths (runStream's tail, replay) share it so their semantics cannot
-// drift.
-func deliver(ctx context.Context, ch chan<- core.EmittedAnswer, answers []*core.Answer, from, gen int) (sent int, cut bool) {
-	for i := from; i < len(answers); i++ {
-		a := answers[i]
-		select {
-		case ch <- core.EmittedAnswer{Answer: a, Rank: i + 1, OutputAt: a.OutputAt, Generated: gen}:
-			sent++
-		case <-ctx.Done():
-			return sent, true
-		}
-	}
-	return sent, false
 }
 
 // replay feeds a cached result through the stream interface: same
 // channel discipline, same trailer, Cached set. OutputAt offsets are the
 // originating run's — a replay is a recording, not a re-search.
 func (st *Stream) replay(ctx context.Context, res *core.Result) {
-	sent, cut := deliver(ctx, st.ch, res.Answers, 0, res.Stats.AnswersGenerated)
+	sent, cut := 0, false
+	for i := 0; i < len(res.Answers) && !cut; i++ {
+		a := res.Answers[i]
+		select {
+		case st.ch <- core.EmittedAnswer{Answer: a, Rank: i + 1, OutputAt: a.OutputAt, Generated: res.Stats.AnswersGenerated}:
+			sent++
+		case <-ctx.Done():
+			cut = true
+		}
+	}
 	st.finish(StreamTrailer{
 		Stats:     res.Stats,
 		Truncated: res.Stats.Truncated || cut,

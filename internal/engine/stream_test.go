@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"banks/internal/core"
+	"banks/internal/graph"
+	"banks/internal/index"
 )
 
 // drainStream collects a whole stream and its trailer.
@@ -132,52 +134,6 @@ func TestSearchStreamCacheReplay(t *testing.T) {
 	}
 }
 
-// TestSearchStreamDropToBatch exercises the degraded path
-// deterministically: an unbuffered channel and a consumer that refuses to
-// read until the search finishes force the first emission to trip the
-// policy; every answer must still arrive, in order.
-func TestSearchStreamDropToBatch(t *testing.T) {
-	g, ix := testGraph(t, 16)
-	e, err := New(g, ix, Options{CacheSize: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := Query{Terms: []string{"alpha", "omega"}, Algo: core.AlgoBidirectional, Opts: core.Options{K: 4}}
-	batch, err := e.Search(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := e.SearchStream(context.Background(), q, StreamOptions{Buffer: -1, DropToBatch: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Hold off reading until the search has finished: the engine releases
-	// its pool slot right after the core search returns (before tail
-	// delivery), so InFlight()==0 means every live emission already ran —
-	// and with no receiver ever ready on the unbuffered channel, each
-	// non-blocking send must have failed, tripping the policy. Everything
-	// then arrives as the post-search tail.
-	deadline := time.Now().Add(10 * time.Second)
-	for e.InFlight() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("search never finished")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	evs, tr := drainStream(t, st)
-	if !tr.Degraded {
-		t.Fatal("unread unbuffered stream did not degrade")
-	}
-	if len(evs) != len(batch.Answers) {
-		t.Fatalf("degraded stream delivered %d answers, batch has %d", len(evs), len(batch.Answers))
-	}
-	for i, ev := range evs {
-		if ev.Rank != i+1 || ev.Answer.Root != batch.Answers[i].Root {
-			t.Fatalf("degraded stream out of order at %d", i)
-		}
-	}
-}
-
 // TestSearchStreamAbandonedConsumer proves an abandoned stream does not
 // leak: cancelling the context releases the producer even though nobody
 // drains the channel, and the trailer reports a truncated delivery.
@@ -209,6 +165,62 @@ func TestSearchStreamAbandonedConsumer(t *testing.T) {
 	defer qcancel()
 	if err := e.Quiesce(qctx); err != nil {
 		t.Fatalf("engine did not quiesce after abandoned stream: %v", err)
+	}
+}
+
+// TestSearchStreamDegradedTrailer pins the trailer of a live delivery cut:
+// the consumer takes one answer and cancels while a second one is waiting
+// to be delivered, so the trailer reports exactly one answer, Degraded and
+// Truncated.
+func TestSearchStreamDegradedTrailer(t *testing.T) {
+	// A star: roots 2..7 each point at node 0 ("alpha") and node 1
+	// ("omega"), so six equal-scoring answers exist.
+	b := graph.NewBuilder()
+	b.AddNodes("row", 8)
+	for r := graph.NodeID(2); r < 8; r++ {
+		for _, kw := range []graph.NodeID{0, 1} {
+			if err := b.AddEdge(r, kw, 1, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	g := b.Build()
+	if err := g.SetPrestige([]float64{1, 1, 1, 1, 1, 1, 1, 1}); err != nil {
+		t.Fatal(err)
+	}
+	ix := index.New()
+	ix.AddText(0, "alpha")
+	ix.AddText(1, "omega")
+	ix.Freeze(g)
+	e, err := New(g, ix, Options{CacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	// StrictBound buffers generated answers in the output heap, and the
+	// search releases every buffered answer by its final flush even when
+	// cancelled: an answer generated before the first release is one the
+	// producer must still try to deliver.
+	st, err := e.SearchStream(ctx, Query{Terms: []string{"alpha", "omega"}, Algo: core.AlgoBidirectional,
+		Opts: core.Options{K: 4, StrictBound: true}}, StreamOptions{Buffer: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, ok := <-st.Answers()
+	if !ok {
+		t.Fatal("stream closed before its first answer")
+	}
+	if ev.Generated <= ev.Rank {
+		t.Fatalf("first answer released with %d generated: no second answer is waiting", ev.Generated)
+	}
+	cancel()
+	tr, err := st.Trailer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tr.Degraded || !tr.Truncated || tr.Answers != 1 {
+		t.Fatalf("trailer %+v, want Degraded, Truncated and 1 answer", tr)
 	}
 }
 

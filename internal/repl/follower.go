@@ -23,10 +23,10 @@ type Target interface {
 	DeltaVersion() uint64
 	// WALSize is the local log's end offset — the replication cursor.
 	WALSize() int64
-	// ReplayLogged applies one shipped record under the replay
-	// idempotence rules and appends it to the local log (see
-	// delta.Manager.ReplayLogged).
-	ReplayLogged(generation, version uint64, ops []delta.Op) (applied bool, offset int64, err error)
+	// Replay applies one shipped record under the replay idempotence
+	// rules and appends it to the local log when it applies (see
+	// delta.Manager.Replay).
+	Replay(generation, version uint64, ops []delta.Op) (applied bool, offset int64, err error)
 	// AdoptSnapshot hot-swaps a fetched snapshot in as the new base,
 	// truncating the local log.
 	AdoptSnapshot(ctx context.Context, path string) (uint64, error)
@@ -231,7 +231,7 @@ func (f *Follower) poll() error {
 			return fmt.Errorf("log stream: %w", err)
 		}
 		for _, rec := range recs {
-			ok, _, err := t.ReplayLogged(rec.Generation, rec.Version, rec.Ops)
+			ok, _, err := t.Replay(rec.Generation, rec.Version, rec.Ops)
 			if err != nil {
 				return fmt.Errorf("apply replicated record (gen %d, version %d): %w", rec.Generation, rec.Version, err)
 			}

@@ -84,7 +84,7 @@ func FuzzReplicationStream(f *testing.F) {
 		m := newFuzzManager(t)
 		gen, ver := uint64(0), uint64(0)
 		for _, r := range recs {
-			applied, _, err := m.ReplayLogged(r.Generation, r.Version, r.Ops)
+			applied, _, err := m.Replay(r.Generation, r.Version, r.Ops)
 			if applied {
 				if r.Generation != gen || r.Version != ver+1 {
 					t.Fatalf("gate applied gen=%d ver=%d at state gen=%d ver=%d",

@@ -69,13 +69,6 @@ type Config struct {
 	// Dataset describes the served data for /statusz (e.g. "dblp factor
 	// 0.25" or a snapshot path).
 	Dataset string
-	// StreamDropToBatch selects the backpressure policy for
-	// /v1/search/stream consumers slower than answer generation: false
-	// (the default) blocks generation until the client keeps up — strict
-	// incrementality at the cost of holding an engine pool slot; true
-	// degrades such streams to batch delivery so a slow client never
-	// throttles the search (the trailer discloses "degraded").
-	StreamDropToBatch bool
 	// Follower, when non-nil, marks this instance a replication
 	// follower: /v1/mutate and /v1/compact are rejected with not_primary
 	// pointing at the primary, and /statusz + /metrics expose the
@@ -93,8 +86,7 @@ type Server struct {
 	met     *metrics
 	dataset string
 
-	streamDropToBatch bool
-	follower          *repl.Follower
+	follower *repl.Follower
 
 	start    time.Time
 	draining atomic.Bool
@@ -124,16 +116,15 @@ func New(cfg Config) (*Server, error) {
 		return nil, errors.New("server: MaxInFlight must be positive")
 	}
 	s := &Server{
-		eng:               cfg.Engine,
-		db:                cfg.DB,
-		live:              cfg.Live,
-		tenants:           tenants,
-		adm:               newAdmission(maxInFlight),
-		met:               new(metrics),
-		dataset:           cfg.Dataset,
-		streamDropToBatch: cfg.StreamDropToBatch,
-		follower:          cfg.Follower,
-		start:             time.Now(),
+		eng:      cfg.Engine,
+		db:       cfg.DB,
+		live:     cfg.Live,
+		tenants:  tenants,
+		adm:      newAdmission(maxInFlight),
+		met:      new(metrics),
+		dataset:  cfg.Dataset,
+		follower: cfg.Follower,
+		start:    time.Now(),
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/search", s.admitted(s.handleSearch))

@@ -42,8 +42,8 @@ type streamTrailerLine struct {
 	Truncated bool `json:"truncated"`
 	// Cached marks a stream replayed from the engine result cache.
 	Cached bool `json:"cached,omitempty"`
-	// Degraded marks a stream whose live per-answer delivery was
-	// abandoned (drop-to-batch backpressure); content is unaffected.
+	// Degraded marks a stream whose context ended while an answer was
+	// waiting to be delivered.
 	Degraded bool `json:"degraded,omitempty"`
 	// Answers is the number of answer lines that preceded this trailer.
 	Answers int `json:"answers"`
@@ -80,8 +80,7 @@ func (s *Server) handleSearchStream(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := queryCtx(r, req.Timeout)
 	defer cancel()
-	st, err := s.eng.SearchStream(ctx, req.Query, req.Algo, req.Opts,
-		banks.StreamOptions{DropToBatch: s.streamDropToBatch})
+	st, err := s.eng.SearchStream(ctx, req.Query, req.Algo, req.Opts, banks.StreamOptions{})
 	if err != nil {
 		s.met.observeQuery(string(req.Algo), outcomeError, 0)
 		api.Annotate(r, req.queryID(), 0, false)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -109,6 +110,21 @@ func TestStreamEndToEnd(t *testing.T) {
 	}
 	if trailer.K != 3 || trailer.Algo != string(banks.Bidirectional) {
 		t.Fatalf("trailer identity wrong: %+v", trailer)
+	}
+}
+
+// TestStreamFlushesThroughHandler: the stream endpoint, served through
+// the full middleware chain, flushes its lines to the wire as it writes
+// them instead of leaving them in the response buffer.
+func TestStreamFlushesThroughHandler(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/search/stream?q=database+query&k=3", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("stream status %d\n%s", rec.Code, rec.Body)
+	}
+	if !rec.Flushed {
+		t.Fatal("stream lines were never flushed")
 	}
 }
 

@@ -169,7 +169,7 @@ func OpenLive(e *Engine, opts LiveOptions) (*Live, error) {
 		}
 	}
 
-	cfg := delta.Config{
+	m, err := delta.NewManager(delta.Config{
 		Engine:          e.e,
 		Graph:           d.Graph,
 		Index:           d.Index,
@@ -179,11 +179,7 @@ func OpenLive(e *Engine, opts LiveOptions) (*Live, error) {
 		SnapshotPath:    opts.SnapshotPath,
 		Mode:            mode,
 		PrestigeOptions: opts.PrestigeOptions,
-	}
-	if log != nil {
-		cfg.Log = log
-	}
-	m, err := delta.NewManager(cfg)
+	})
 	if err != nil {
 		if log != nil {
 			log.Close()
@@ -192,17 +188,20 @@ func OpenLive(e *Engine, opts LiveOptions) (*Live, error) {
 	}
 	l := &Live{e: e, m: m, w: log}
 	l.baseNodes.Store(int64(d.Graph.NumNodes()))
+	// The recovered records are already in the log: replay them before
+	// the log is attached, so none is appended twice.
 	for _, rec := range recs {
-		applied, err := m.Replay(rec.Generation, rec.Version, rec.Ops)
+		applied, _, err := m.Replay(rec.Generation, rec.Version, rec.Ops)
 		if err != nil {
-			if log != nil {
-				log.Close()
-			}
+			log.Close()
 			return nil, fmt.Errorf("banks: WAL replay: %w", err)
 		}
 		if applied {
 			l.replayed++
 		}
+	}
+	if log != nil {
+		m.SetLog(log)
 	}
 	return l, nil
 }
@@ -309,12 +308,12 @@ func (l *Live) WALReadAt(from int64, max int) ([]byte, int64, error) {
 	return l.w.ReadAt(from, max)
 }
 
-// ReplayLogged applies one replicated record under the WAL replay
-// idempotence rules and appends it to the local log, keeping the
+// Replay applies one replicated record under the WAL replay idempotence
+// rules and appends it to the local log when it applies, keeping the
 // follower's log byte-identical to the primary's. See
-// delta.Manager.ReplayLogged.
-func (l *Live) ReplayLogged(generation, version uint64, ops []MutationOp) (applied bool, offset int64, err error) {
-	return l.m.ReplayLogged(generation, version, ops)
+// delta.Manager.Replay.
+func (l *Live) Replay(generation, version uint64, ops []MutationOp) (applied bool, offset int64, err error) {
+	return l.m.Replay(generation, version, ops)
 }
 
 // AdoptSnapshot hot-swaps an externally fetched snapshot in as the new
