@@ -10,9 +10,8 @@
 //   - §4.4 worked example: BenchmarkFigure4 (in internal/core);
 //   - §5.1 graph footprint: BenchmarkGraphFootprint.
 //
-// Absolute durations depend on the machine; the ratios reported in
-// EXPERIMENTS.md come from cmd/experiments, which runs the same harness at
-// a larger scale.
+// Absolute durations depend on the machine; cmd/experiments runs the same
+// harness at a larger scale.
 package banks_test
 
 import (

@@ -52,7 +52,7 @@ func MIBackward(ctx context.Context, g graph.View, keywords [][]graph.NodeID, op
 	}
 	if !m.expired() && !anyEmptyKeyword(keywords) {
 		m.seed()
-		m.run()
+		expandLoop(m, &m.canceller, out, opts.MaxNodes)
 	}
 	stats.Duration = time.Since(start)
 	return &Result{Answers: out.results(), Stats: *stats}, nil
@@ -118,44 +118,25 @@ func (m *miSearch) seed() {
 	}
 }
 
-func (m *miSearch) run() {
-	const boundEvery = 32
-	sinceBound := 0
-	for m.sched.Len() > 0 {
-		if m.out.full() {
-			return
-		}
-		if m.opts.MaxNodes > 0 && m.stats.NodesExplored >= m.opts.MaxNodes {
-			m.stats.BudgetExhausted = true
-			break
-		}
-		if m.cancelled() {
-			break
-		}
-		idx, _, _ := m.sched.Pop()
-		m.step(idx)
-		if _, d, ok := m.iters[idx].frontier.Peek(); ok {
-			m.sched.Push(idx, d)
-		}
-		sinceBound++
-		if sinceBound >= boundEvery {
-			sinceBound = 0
-			score, edge := m.upperBound()
-			if m.out.drain(score, edge) {
-				return
-			}
-		}
+func (m *miSearch) empty() bool { return m.sched.Len() == 0 }
+
+// step advances the iterator with the nearest frontier head and
+// reschedules it.
+func (m *miSearch) step() {
+	idx, _, _ := m.sched.Pop()
+	m.advance(idx)
+	if _, d, ok := m.iters[idx].frontier.Peek(); ok {
+		m.sched.Push(idx, d)
 	}
-	m.out.flush()
 }
 
-// step runs one getnext() of iterator idx (§3): settle the
+// advance runs one getnext() of iterator idx (§3): settle the
 // minimum-distance frontier node v, merge it into the cross-iterator
 // state, and expand the frontier across v's incoming combined edges. The
 // globally visible effects keep a fixed order: the explored counter first
 // (answer generation stamps read it), then the reach recording and any
 // emissions, then the expansion counters.
-func (m *miSearch) step(idx int) {
+func (m *miSearch) advance(idx int) {
 	it := m.iters[idx]
 	v, d, _ := it.frontier.Pop() // scheduled iterators have a frontier head
 	it.settled[v] = struct{}{}
@@ -189,6 +170,10 @@ func (m *miSearch) step(idx int) {
 		}
 	}
 }
+
+func (m *miSearch) drain(score, edge float64) bool { return m.out.drain(score, edge) }
+
+func (m *miSearch) flush() { m.out.flush() }
 
 // recordReach merges a settled (node, dist) pair into the node's global
 // state; if the node is now reached from every keyword, answers are

@@ -284,6 +284,73 @@ func TestDifferentialPinnedCorpus(t *testing.T) {
 	}
 }
 
+// TestDifferentialPinnedCorpusEdge sweeps the three tree searches over the
+// pinned corpus with the edgeOptVariants and asserts the frozen digests,
+// so the loop's early full-output exit and the depth cut stay pinned.
+func TestDifferentialPinnedCorpusEdge(t *testing.T) {
+	const numGraphs = 60
+	for _, algo := range Algos() {
+		sigs := make([][]string, numGraphs)
+		for gi := range sigs {
+			g, kw := buildRandomGraph(t, randomGraphSpec{seed: int64(1000 + gi), hub: gi%2 == 0})
+			for _, opts := range edgeOptVariants() {
+				sigs[gi] = append(sigs[gi], pinnedSearch(t, nil, g, string(algo), kw, opts))
+			}
+		}
+		checkPinned(t, string(algo), pinnedCorpusEdge[string(algo)], sigs)
+	}
+}
+
+// edgeOptVariants are the option shapes of TestDifferentialPinnedCorpusEdge,
+// one per exit of the expansion loop the default sweep does not reach:
+// K=1 stops on a full output at the first drain, and DMax=2 hits the depth
+// cut in every expansion.
+func edgeOptVariants() []Options {
+	return []Options{
+		{K: 1},
+		{K: 8, DMax: 2},
+	}
+}
+
+// pinnedCorpusEdge holds the digests of TestDifferentialPinnedCorpusEdge:
+// the 60 graphs of pinnedCorpus × the two edgeOptVariants, for the three
+// tree searches.
+var pinnedCorpusEdge = map[string]pinnedDigest{
+	"bidirectional": {
+		all: "2bb754604380f88c169904432bf6f5f67bc1aa73a09551eafb205b4b58f546cd",
+		graphs: `
+			4a969ea0 784d42e3 1382c92a 7a5e2f68 73d01fda 5d9061da f48372e2 53f6014c 650bd598 b215b920
+			697afb7c 98b92cf4 4430c147 0a75c3e1 30be765b 174aedf5 85127b4e 011cf449 b9a53c18 402c15cb
+			13614b2e 62e94e4d c163f6fb fa794c16 e420872d cd70b41b da169906 e6e0ffcd 59bcb529 5d36d4f9
+			6cacb46c b47184b4 5c107e11 f91a1697 365dc9b6 dbb609da 65d5567f 54b883ba 65af7371 aa0aaa0a
+			0d4379cc eb64a553 d1a57197 d5bc8308 b9c32494 426c74bf e1e2c060 b2ace9c7 a8c2188f bea8f32e
+			afa4da0e 0e708413 339c1eb3 b12e4fe5 38f1ccd8 95de63c0 23f5e6f4 3025edea d747378c 416d8381
+		`,
+	},
+	"si-backward": {
+		all: "e00ca26227c309b11fee289eb8b40ece17420ed9824f09eb18613dfbd9055994",
+		graphs: `
+			fd136630 1a12a974 5bae91ed 27d44274 f387460f 58c038bb d1eca9cb 79d7c483 386970e8 2d9832b5
+			60bdc058 8ed6f7ee 49ce07dc aa935f7e 78f63320 651bfcfe 75d12992 c3ee9ea2 5b344e74 22800518
+			0a6d93e9 c449216e e60d20ed efe3d35a 97b50ef1 9b754d51 a3ac366a e4a66e0e eabdd696 16fbf6cf
+			b6685517 1265c87e a91d6186 f2dc365b a12420ff 6c6a25b7 86b5501f b8b2e27a 0b94b08f 14c291ee
+			6d717f9c b6667b7f d70cef25 afb4d43b 4ee2c502 f840ce21 0a01e0d0 4372dfd9 61a098d6 38d0e37d
+			76e1681c 6074c429 a28db121 12f8e7fb f04b2022 f47e929c 1ade5955 bb5163c5 c1a84191 c66b4f96
+		`,
+	},
+	"mi-backward": {
+		all: "38d5c2cb4f730a8417aafab83a0d3fe61aa7449e883a64b02ba362bc2a5a0a45",
+		graphs: `
+			7aee295f 804cdd37 34c78cd3 335fcff5 6eb8bd5e 9b053a78 5834954f 29682ce4 a318677b f3eb84da
+			c9157216 1c59332e 2157776f d95818be 4c62e692 5cb1a349 d81eb15f 37f1f485 1f17d916 f438add1
+			d93702aa 63a8084f 62d81057 78b67051 764c2a9a de2b1e96 d90cd7ae e616efd3 244e0883 32dcbff2
+			b75a8e2b 6e4361cb b3ee6cf5 0e902318 722c4734 a243b329 5626ec42 e305cd1e a794b3b7 338318f0
+			ddabea5c 9cb7bbfd 6bf994f9 ebe5acbf 238edbdc 3764934b 9a755ab4 1c68ec78 d27393d1 69c259c5
+			4f971342 a30e9bf2 e8262232 2eab2122 f9af5cf0 18ed6b09 740a903f 0ea4380d 21ffc678 a2e8b1af
+		`,
+	},
+}
+
 // countingCtx is a context whose Err flips to Canceled after a fixed
 // number of Err consultations. The search cancellers consult Err at a
 // deterministic, data-dependent cadence, so a countingCtx cancels a

@@ -51,7 +51,7 @@ type nodeState struct {
 	// dirty marks the node as queued for deferred emission (strict mode).
 	dirty bool
 	// genAt/genExplored/genTouched snapshot the generation-time metrics at
-	// the node's latest improvement (lazy candidate mode).
+	// the node's latest emission.
 	genAt                   time.Duration
 	genExplored, genTouched int
 
@@ -134,7 +134,7 @@ type searchContext struct {
 	// and building a tree per improvement would dominate the run time.
 	// Generation counters are snapshotted at mark time so §5.2 metrics are
 	// unaffected by the deferral.
-	dirtyEmits []pendingEmit
+	dirtyEmits []graph.NodeID
 	// cands holds completed answer roots keyed by their distance sum (the
 	// default heuristic-bound mode): trees are built only when the §4.5
 	// edge bound releases the root, so a search producing k answers builds
@@ -151,15 +151,12 @@ type searchContext struct {
 	// full frontier scan per drain. Entries are decrease-keyed on every
 	// relaxation and lazily discarded once their node enters Xin.
 	boundHeaps []*pqueue.Heap[graph.NodeID]
-}
-
-// pendingEmit is one deferred emission with its generation-time counter
-// snapshot.
-type pendingEmit struct {
-	node     graph.NodeID
-	at       time.Duration
-	explored int
-	touched  int
+	// attach is the reusable work heap for best-first distance propagation
+	// (Figure 3's Attach).
+	attach *pqueue.Heap[graph.NodeID]
+	// rekey, when set, is told of every explored parent whose distances
+	// Attach lowered, before the parent is offered for emission.
+	rekey func(graph.NodeID, *nodeState)
 }
 
 func newSearchContext(ctx context.Context, g graph.View, keywords [][]graph.NodeID, opts Options) *searchContext {
@@ -318,30 +315,23 @@ func (sc *searchContext) maybeEmit(u graph.NodeID) {
 		if sc.out.released(u) {
 			return
 		}
-		sum := sc.distSum(s)
-		if sum >= s.lastEmitSum-1e-12 {
-			return
-		}
+	} else if s.dirty {
+		return
+	}
+	sum := sc.distSum(s)
+	if sum >= s.lastEmitSum-1e-12 {
+		return
+	}
+	s.genAt = sc.now
+	s.genExplored = sc.stats.NodesExplored
+	s.genTouched = sc.stats.NodesTouched
+	if sc.lazy {
 		s.lastEmitSum = sum
-		s.genAt = sc.now
-		s.genExplored = sc.stats.NodesExplored
-		s.genTouched = sc.stats.NodesTouched
 		sc.cands.Push(u, sum)
 		return
 	}
-	if s.dirty {
-		return
-	}
-	if sc.distSum(s) >= s.lastEmitSum-1e-12 {
-		return
-	}
 	s.dirty = true
-	sc.dirtyEmits = append(sc.dirtyEmits, pendingEmit{
-		node:     u,
-		at:       sc.now,
-		explored: sc.stats.NodesExplored,
-		touched:  sc.stats.NodesTouched,
-	})
+	sc.dirtyEmits = append(sc.dirtyEmits, u)
 }
 
 // buildFor constructs the current answer tree rooted at u, stamped with
@@ -416,44 +406,144 @@ func (sc *searchContext) drainCands(edgeBound float64, final bool) bool {
 // called at every drain point and before final flush. Like drainCands it
 // checks the deadline between tree builds.
 func (sc *searchContext) flushEmits() {
-	for n, pe := range sc.dirtyEmits {
+	for n, u := range sc.dirtyEmits {
 		if n%32 == 31 && sc.expired() {
 			// Tree building dominates large flushes; honour the deadline
 			// and abandon the un-built remainder (the search is ending).
 			break
 		}
-		s, ok := sc.peekState(pe.node)
-		if !ok {
-			continue
-		}
+		s := sc.state[u]
 		s.dirty = false
 		sum := sc.distSum(s)
 		if sum >= s.lastEmitSum-1e-12 {
 			continue
 		}
 		s.lastEmitSum = sum
-
-		paths := make([][]graph.NodeID, sc.nk)
-		valid := true
-		for i := 0; i < sc.nk; i++ {
-			p := sc.followSP(pe.node, i)
-			if p == nil {
-				valid = false // inconsistent pointers; skip defensively
-				break
-			}
-			paths[i] = p
-		}
-		if !valid {
-			continue
-		}
-		if a := buildAnswer(sc.g, sc.opts, pe.node, paths, sc.kwBits, sc.nk); a != nil {
-			a.GeneratedAt = pe.at
-			a.ExploredAtGen = pe.explored
-			a.TouchedAtGen = pe.touched
+		if a := sc.buildFor(u); a != nil {
 			sc.out.add(a)
 		}
 	}
 	sc.dirtyEmits = sc.dirtyEmits[:0]
+}
+
+// drain releases the answers the §4.5 bounds allow: candidate roots whose
+// distance sum beats the edge bound in lazy mode, buffered answers scoring
+// at least the score bound in strict mode.
+func (sc *searchContext) drain(score, edge float64) bool {
+	if sc.lazy {
+		return sc.drainCands(edge, false)
+	}
+	sc.flushEmits()
+	return sc.out.drain(score, edge)
+}
+
+// flush releases the remaining answers, best first.
+func (sc *searchContext) flush() {
+	if sc.lazy {
+		sc.drainCands(0, true)
+		return
+	}
+	sc.flushEmits()
+	sc.out.flush()
+}
+
+// upperBound computes the §4.5 bounds on answers not yet generated. mᵢ is
+// the minimum dist_{u,i} over the backward frontier; the best future
+// aggregate edge score is edge = Σᵢ mᵢ (h in the paper), and the score
+// bound combines it with the maximum node prestige. In strict mode the
+// bound additionally considers every seen node's partial distances
+// (Σᵢ min(dist_{u,i}, mᵢ)), NRA-style. empty reports that the frontier
+// has no node left to expand.
+func (sc *searchContext) upperBound(empty bool) (score, edge float64) {
+	m := make([]float64, sc.nk)
+	for i := range m {
+		m[i] = sc.frontierMin(i)
+	}
+	h := 0.0
+	for i := 0; i < sc.nk; i++ {
+		if math.IsInf(m[i], 1) {
+			// No frontier knowledge for keyword i: fall back to the
+			// coarser overall-frontier minimum (§4.5); if the frontier is
+			// empty no better answer can appear at all.
+			if empty {
+				return 0, math.Inf(1)
+			}
+			continue
+		}
+		h += m[i]
+	}
+	if sc.opts.StrictBound {
+		best := math.Inf(1)
+		for _, s := range sc.state {
+			sum := 0.0
+			for i := 0; i < sc.nk; i++ {
+				sum += math.Min(s.dist[i], m[i])
+			}
+			if sum < best {
+				best = sum
+			}
+		}
+		if best < h {
+			h = best
+		}
+	}
+	return scoreUpperBound(sc.g, h, sc.nk, sc.opts.Lambda), h
+}
+
+// relax lowers u's keyword distances through its successor v on the
+// combined edge u→v of weight w, making v the next hop for every keyword
+// whose distance drops. It reports whether any did.
+func (sc *searchContext) relax(u graph.NodeID, su *nodeState, v graph.NodeID, sv *nodeState, w float64) bool {
+	improved := false
+	for i := 0; i < sc.nk; i++ {
+		if d := w + sv.dist[i]; d < su.dist[i]-1e-15 {
+			su.dist[i] = d
+			su.sp[i] = v
+			sc.noteDist(u, su, i)
+			improved = true
+		}
+	}
+	return improved
+}
+
+// exploreEdge is Figure 3's ExploreEdge(u,v) without activation: u is the
+// predecessor, v the successor of the combined edge u→v with weight w.
+// u is recorded as an explored parent of v (P_v), so later distance
+// improvements at v reach u (§4.2.2), and distance information flows v→u.
+func (sc *searchContext) exploreEdge(u graph.NodeID, su *nodeState, v graph.NodeID, sv *nodeState, w float64) {
+	sc.stats.EdgesRelaxed++
+	sv.parents = append(sv.parents, parentEdge{node: u, w: w})
+	if sc.relax(u, su, v, sv, w) {
+		sc.maybeEmit(u)
+		sc.attachPropagate(u)
+	}
+}
+
+// attachPropagate propagates improved distances at u to its explored
+// parents, best-first (Figure 3's Attach). Each improvement may complete
+// ancestors, triggering emission.
+func (sc *searchContext) attachPropagate(u graph.NodeID) {
+	if sc.attach == nil {
+		sc.attach = pqueue.NewMin[graph.NodeID]()
+	}
+	work := sc.attach
+	work.Clear()
+	work.Push(u, sc.distSum(sc.st(u)))
+	for work.Len() > 0 {
+		v, _, _ := work.Pop()
+		sv := sc.st(v)
+		for _, pe := range sv.parents {
+			sp, ok := sc.peekState(pe.node)
+			if !ok || !sc.relax(pe.node, sp, v, sv, pe.w) {
+				continue
+			}
+			if sc.rekey != nil {
+				sc.rekey(pe.node, sp)
+			}
+			sc.maybeEmit(pe.node)
+			work.Push(pe.node, sc.distSum(sp))
+		}
+	}
 }
 
 // followSP follows sp pointers from u toward keyword i, returning the node
@@ -547,13 +637,11 @@ func anyEmptyKeyword(keywords [][]graph.NodeID) bool {
 
 // finishResult stamps duration and packages the result.
 func (sc *searchContext) finishResult() *Result {
-	if sc.lazy {
-		if !sc.out.full() {
-			sc.drainCands(0, true)
-		}
-	} else {
-		sc.flushEmits()
-		sc.out.flush()
+	// Past a full output a lazy flush would only build trees no one
+	// receives; a strict one still buffers the pending emissions, which
+	// Stats counts.
+	if !sc.lazy || !sc.out.full() {
+		sc.flush()
 	}
 	sc.stats.Duration = time.Since(sc.start)
 	return &Result{Answers: sc.out.results(), Stats: *sc.stats}

@@ -304,7 +304,7 @@ func (p *planner) remaining(t string) int {
 
 // allCombos returns the eight Figure-6(c) band combinations, reconstructed
 // from the paper's text (the figure's x-axis labels are a typesetting
-// error; see DESIGN.md).
+// error).
 func allCombos() [][4]Band {
 	T, S, M, L := BandTiny, BandSmall, BandMedium, BandLarge
 	return [][4]Band{

@@ -26,7 +26,7 @@ type AblationRow struct {
 	N           int
 }
 
-// Ablations sweeps the design choices DESIGN.md calls out: the activation
+// Ablations sweeps the search's main design choices: the activation
 // attenuation µ, the depth cutoff dmax, max- vs sum-combination of
 // activation, the §4.5 bound mode, and the prestige source. Every variant
 // runs Bidirectional search on the same (T,T,L,L) workload.

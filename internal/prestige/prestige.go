@@ -59,11 +59,16 @@ func Compute(g graph.View, opts Options) ([]float64, error) {
 		return nil, errors.New("prestige: empty graph")
 	}
 
-	// Precompute, per node, the sum of inverse outgoing weights in G′.
+	// Precompute, per node, the sum of inverse outgoing weights in G′, and
+	// keep each adjacency slice: a View such as the live overlay answers
+	// Neighbors with a map probe, which the power iteration would otherwise
+	// repeat for every node on every pass.
 	invSum := make([]float64, n)
+	adj := make([][]graph.Half, n)
 	for u := 0; u < n; u++ {
+		adj[u] = g.Neighbors(graph.NodeID(u))
 		s := 0.0
-		for _, h := range g.Neighbors(graph.NodeID(u)) {
+		for _, h := range adj[u] {
 			s += 1 / h.WOut
 		}
 		invSum[u] = s
@@ -89,7 +94,7 @@ func Compute(g graph.View, opts Options) ([]float64, error) {
 				continue
 			}
 			scale := d * ru / invSum[u]
-			for _, h := range g.Neighbors(graph.NodeID(u)) {
+			for _, h := range adj[u] {
 				next[h.To] += scale / h.WOut
 			}
 		}

@@ -183,3 +183,49 @@ func BenchmarkPrestige10k(b *testing.B) {
 		}
 	}
 }
+
+// countingView is a graph.View that is not a *graph.Graph and counts its
+// Neighbors calls.
+type countingView struct {
+	*graph.Graph
+	neighbors int
+}
+
+func (v *countingView) Neighbors(u graph.NodeID) []graph.Half {
+	v.neighbors++
+	return v.Graph.Neighbors(u)
+}
+
+// TestComputeReadsEachAdjacencyOnce pins that the power iteration reuses
+// the adjacency it read for the inverse-weight sums: a View whose
+// Neighbors is costly is asked once per node, and the scores are
+// bit-equal to Compute over the plain graph.
+func TestComputeReadsEachAdjacencyOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	b := graph.NewBuilder()
+	b.AddNodes("t", 200)
+	for i := 0; i < 600; i++ {
+		u, v := rng.Intn(200), rng.Intn(200)
+		if u != v {
+			_ = b.AddEdge(graph.NodeID(u), graph.NodeID(v), 0.5+rng.Float64()*2, 0)
+		}
+	}
+	g := b.Build()
+	want, err := Compute(g, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cv := &countingView{Graph: g}
+	got, err := Compute(cv, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cv.neighbors != g.NumNodes() {
+		t.Fatalf("Neighbors called %d times, want %d (once per node)", cv.neighbors, g.NumNodes())
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("node %d: prestige %v over the view, %v over the graph", i, got[i], want[i])
+		}
+	}
+}
